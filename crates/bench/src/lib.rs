@@ -41,9 +41,10 @@
 //!   an all-to-all PASE batch on the k-ary fat-tree (16 / 128 / 1024
 //!   hosts), timed end-to-end through `Simulation::run`. Alongside
 //!   events/sec each scenario records `peak_rss_bytes` (the `VmHWM`
-//!   high-water mark from `/proc/self/status`), so the compact-FIB and
-//!   flow-state memory budget is tracked next to throughput. The
-//!   `--scenario scale` alias selects all three sweep points.
+//!   high-water mark from `/proc/self/status`, reset before the
+//!   scenario starts), so the compact-FIB and flow-state memory budget
+//!   is tracked next to throughput. The `--scenario scale` alias
+//!   selects all three sweep points.
 //!
 //! The time spent *building* each simulation is excluded where the
 //! scenario measures the engine (`sched-storm`, incast) and included
@@ -209,12 +210,13 @@ pub struct BenchResult {
     /// Packet-arena high-water mark of simultaneously outstanding
     /// packets (identical across iterations).
     pub arena_peak_outstanding: u64,
-    /// Process-wide peak resident set size in bytes (`VmHWM` from
-    /// `/proc/self/status`) read after the scenario's last iteration.
-    /// Monotone over the process lifetime: the value covers everything
-    /// executed up to and including this scenario, so within one
-    /// invocation the column is non-decreasing in execution order. 0 on
-    /// platforms without `/proc`.
+    /// Peak resident set size in bytes while this scenario ran: `VmHWM`
+    /// from `/proc/self/status`, reset by [`reset_peak_rss`] before the
+    /// scenario's first iteration and read after its last. The reset
+    /// brings the mark down to the RSS at that moment, so memory the
+    /// allocator kept from earlier scenarios still counts. Where the
+    /// reset is unavailable the mark covers the whole process lifetime;
+    /// 0 on platforms without `/proc`.
     pub peak_rss_bytes: u64,
 }
 
@@ -239,6 +241,15 @@ pub fn read_peak_rss() -> u64 {
     0
 }
 
+/// Reset this process's `VmHWM` to its current RSS by writing `5` to
+/// `/proc/self/clear_refs`, so the next [`read_peak_rss`] covers only
+/// what ran after this call. Returns whether the kernel accepted the
+/// reset; callers may ignore a failure (no `/proc`, or a kernel without
+/// `clear_refs`), which leaves the mark process-wide.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
 /// What one timed iteration of a scenario produced.
 struct IterOut {
     wall_s: f64,
@@ -257,6 +268,7 @@ fn measure(
     warmup: bool,
     mut f: impl FnMut() -> IterOut,
 ) -> BenchResult {
+    reset_peak_rss();
     if warmup {
         f();
     }
@@ -724,10 +736,14 @@ pub fn validate_report(s: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that reset or bound this process's `VmHWM`.
+    static RSS_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Every scenario runs at the smoke profile and the rendered document
     /// is valid JSON naming each of them with a positive events/sec.
     #[test]
     fn smoke_all_scenarios_emit_valid_json() {
+        let _rss = RSS_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let opts = BenchOpts {
             quick: true,
             iters: 1,
@@ -848,17 +864,29 @@ mod tests {
         assert_eq!(o.selected(), vec!["scale-k4", "scale-k8", "scale-k16"]);
     }
 
-    /// The peak-RSS reader finds a positive high-water mark on Linux and
-    /// never decreases across calls (VmHWM is monotone by definition).
+    /// The peak-RSS reader covers live memory, and a reset drops the mark
+    /// below a peak that has since been freed (where the kernel supports
+    /// the reset).
     #[test]
     #[cfg(target_os = "linux")]
-    fn peak_rss_reader_is_positive_and_monotone() {
-        let a = read_peak_rss();
-        assert!(a > 0, "VmHWM must be readable on Linux");
-        let ballast = vec![1u8; 8 * 1024 * 1024];
+    fn peak_rss_covers_live_memory_and_resets_after_a_freed_peak() {
+        const BALLAST: u64 = 64 * 1024 * 1024;
+        let _rss = RSS_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let ballast = vec![1u8; BALLAST as usize];
         std::hint::black_box(&ballast);
-        let b = read_peak_rss();
-        assert!(b >= a, "VmHWM went backwards: {a} -> {b}");
+        let peak = read_peak_rss();
+        assert!(
+            peak >= BALLAST,
+            "VmHWM {peak} misses a live {BALLAST}-byte ballast"
+        );
+        drop(ballast);
+        if reset_peak_rss() {
+            let after = read_peak_rss();
+            assert!(
+                after + BALLAST / 2 <= peak,
+                "reset kept the freed ballast's peak: {peak} -> {after}"
+            );
+        }
     }
 
     #[test]

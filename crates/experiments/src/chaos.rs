@@ -537,12 +537,7 @@ fn run_once(
         outcome,
         ctrl_processed: sim.stats().ctrl_msgs_processed,
         ctrl_shed: sim.stats().ctrl_msgs_shed,
-        ctrl_peak_depth: sim
-            .stats()
-            .ctrl_peak_epoch_by_node()
-            .map(|(_, d)| d)
-            .max()
-            .unwrap_or(0),
+        ctrl_peak_depth: sim.stats().ctrl_peak_epoch_depth,
         arena_peak_outstanding: sim.stats().arena.peak_outstanding,
         arena_recycled: sim.stats().arena.recycled,
     }

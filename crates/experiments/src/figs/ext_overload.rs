@@ -130,12 +130,7 @@ fn run_overload(
         processed: sim.stats().ctrl_msgs_processed,
         shed: sim.stats().ctrl_msgs_shed,
         bytes: sim.stats().ctrl_bytes,
-        peak_depth: sim
-            .stats()
-            .ctrl_peak_epoch_by_node()
-            .map(|(_, d)| d)
-            .max()
-            .unwrap_or(0),
+        peak_depth: sim.stats().ctrl_peak_epoch_depth,
     };
     (collect(&sim, outcome), ctrl)
 }

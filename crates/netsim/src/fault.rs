@@ -19,9 +19,10 @@
 //!   ([`crate::host::HostService::on_fault`]); the data plane keeps
 //!   forwarding. What "crash" means is up to the protocol — PASE wipes
 //!   its soft arbitration state.
-//! * A **control-loss burst** kills the next `n` control packets on one
-//!   *direction* of a link (it wraps the port's queue discipline in a
-//!   burst-mode [`crate::queue::LossyQdisc`]).
+//! * A **control-loss burst** kills the next `n` control packets offered
+//!   to one *direction* of a link while it is up. The port keeps a drop
+//!   budget that each burst extends (saturating, so `n = u64::MAX` is a
+//!   permanent blackout); data and ACKs never spend it.
 //! * A **degraded link** (gray failure) keeps forwarding but hurts: a
 //!   seeded [`DegradeProfile`] imposes stochastic packet loss, payload
 //!   corruption (detected and discarded by the destination's checksum,

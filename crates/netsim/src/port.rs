@@ -67,9 +67,13 @@ pub struct Port {
     /// Gray-failure state while the link is degraded.
     degrade: Option<DegradeState>,
     /// Packets lost to link degradation (drawn at TX; part of the
-    /// synthetic-loss counter family together with
-    /// [`crate::queue::QdiscStats::forced_drops`]).
+    /// synthetic-loss counter family, see [`Port::synthetic_drops`]).
     pub degrade_drops: u64,
+    /// Control packets still to be dropped on arrival, armed by
+    /// [`Port::inject_ctrl_loss_burst`].
+    ctrl_loss_budget: u64,
+    /// Control packets dropped by control-loss bursts.
+    pub ctrl_loss_drops: u64,
     /// Packets corrupted by link degradation (stamped at TX, discarded by
     /// the destination's checksum).
     pub degrade_corrupts: u64,
@@ -102,6 +106,8 @@ impl Port {
             drops_while_down: 0,
             degrade: None,
             degrade_drops: 0,
+            ctrl_loss_budget: 0,
+            ctrl_loss_drops: 0,
             degrade_corrupts: 0,
             health: 1.0,
         }
@@ -109,7 +115,8 @@ impl Port {
 
     /// Offer a packet to this port: enqueue it and, if the serializer is
     /// idle, begin transmission. Drops are recorded in `ctx.stats`.
-    /// Everything offered to a downed port is dropped (and counted).
+    /// Everything offered to a downed port is dropped (and counted), and
+    /// so is a control packet while a control-loss burst is armed.
     pub fn send(&mut self, pkt: Box<Packet>, ctx: &mut Ctx<'_>) {
         if !self.up {
             self.drops_while_down += 1;
@@ -118,7 +125,14 @@ impl Port {
             return;
         }
         let is_data = pkt.kind == PacketKind::Data;
-        match self.qdisc.enqueue(pkt, ctx.now()) {
+        let outcome = if pkt.kind == PacketKind::Ctrl && self.ctrl_loss_budget > 0 {
+            self.ctrl_loss_budget -= 1;
+            self.ctrl_loss_drops += 1;
+            Enqueued::RejectedArrival(pkt)
+        } else {
+            self.qdisc.enqueue(pkt, ctx.now())
+        };
+        match outcome {
             Enqueued::Ok => {
                 if is_data {
                     ctx.stats.note_data_enqueued();
@@ -185,21 +199,11 @@ impl Port {
         self.up
     }
 
-    /// Drop the next `n` control packets offered to this port, by
-    /// wrapping the queue discipline in a burst-mode
-    /// [`crate::queue::LossyQdisc`]. A spent wrapper is a transparent
-    /// pass-through.
+    /// Drop the next `n` control packets offered to this port while it
+    /// is up. Bursts stack: a second burst extends the remaining one.
     pub fn inject_ctrl_loss_burst(&mut self, n: u64) {
-        use crate::queue::{DropTailQdisc, LossyQdisc};
         self.faults_injected += 1;
-        // Momentary placeholder while the real qdisc is wrapped.
-        let inner = core::mem::replace(&mut self.qdisc, Box::new(DropTailQdisc::new(1)));
-        self.qdisc = Box::new(LossyQdisc::drop_burst_for_kind(
-            inner,
-            1,
-            n,
-            PacketKind::Ctrl,
-        ));
+        self.ctrl_loss_budget = self.ctrl_loss_budget.saturating_add(n);
     }
 
     /// Degrade this port per `profile` (gray failure). `node` is the
@@ -239,11 +243,10 @@ impl Port {
     }
 
     /// Total synthetic (fault-injected) losses on this port: degrade
-    /// losses plus any forced drops from a wrapping
-    /// [`crate::queue::LossyQdisc`]. One counter family for every loss
-    /// that is *not* congestion.
+    /// losses plus control-loss burst drops. One counter family for every
+    /// loss that is *not* congestion.
     pub fn synthetic_drops(&self) -> u64 {
-        self.degrade_drops + self.qdisc.stats().forced_drops
+        self.degrade_drops + self.ctrl_loss_drops
     }
 
     /// Fold one TX outcome into the EWMA health score.
@@ -695,6 +698,116 @@ mod tests {
             port.health()
         );
         assert_eq!(port.faults_injected, 2);
+    }
+
+    fn ctrl(flow: u64) -> Box<Packet> {
+        Box::new(Packet::ctrl(
+            FlowId(flow),
+            NodeId(0),
+            NodeId(1),
+            Box::new(0u8),
+        ))
+    }
+
+    /// A port whose queue never overflows in these tests.
+    fn roomy_port() -> Port {
+        Port::new(
+            PortId(0),
+            NodeId(1),
+            Rate::from_gbps(1),
+            SimDuration::from_micros(10),
+            Box::new(DropTailQdisc::new(64)),
+        )
+    }
+
+    /// Offer `pkts` to `port` back to back (no time passes) and report,
+    /// per packet, whether the port refused it.
+    fn offer(
+        port: &mut Port,
+        stats: &mut StatsCollector,
+        pkts: impl IntoIterator<Item = Box<Packet>>,
+    ) -> Vec<bool> {
+        let mut sched = Scheduler::new();
+        let mut ctx = Ctx {
+            node: NodeId(0),
+            sched: &mut sched,
+            stats,
+        };
+        pkts.into_iter()
+            .map(|pkt| {
+                let held = |p: &Port| p.queue_len_pkts() + p.is_busy() as usize;
+                let before = held(port);
+                port.send(pkt, &mut ctx);
+                held(port) == before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ctrl_loss_bursts_add_up_to_one_consecutive_run() {
+        let mut port = roomy_port();
+        let mut stats = StatsCollector::new();
+        port.inject_ctrl_loss_burst(2);
+        port.inject_ctrl_loss_burst(3);
+        let dropped = offer(&mut port, &mut stats, (0..8).map(ctrl));
+        assert_eq!(dropped, [true, true, true, true, true, false, false, false]);
+        assert_eq!(port.ctrl_loss_drops, 5);
+        assert_eq!(port.faults_injected, 2);
+    }
+
+    #[test]
+    fn ctrl_loss_budget_spares_data_and_acks() {
+        let mut port = roomy_port();
+        let mut stats = StatsCollector::new();
+        port.inject_ctrl_loss_burst(1);
+        let ack = Box::new(Packet::ack(FlowId(1), NodeId(0), NodeId(1), 0));
+        let dropped = offer(
+            &mut port,
+            &mut stats,
+            vec![data(0), ack, data(2), ctrl(3), ctrl(4)],
+        );
+        assert_eq!(dropped, [false, false, false, true, false]);
+        assert_eq!(port.ctrl_loss_drops, 1);
+    }
+
+    #[test]
+    fn downed_port_does_not_spend_the_ctrl_loss_budget() {
+        let mut port = roomy_port();
+        let mut stats = StatsCollector::new();
+        port.inject_ctrl_loss_burst(1);
+        {
+            let mut sched = Scheduler::new();
+            let mut ctx = Ctx {
+                node: NodeId(0),
+                sched: &mut sched,
+                stats: &mut stats,
+            };
+            port.set_down(&mut ctx);
+        }
+        assert_eq!(offer(&mut port, &mut stats, vec![ctrl(0)]), [true]);
+        assert_eq!(port.drops_while_down, 1);
+        assert_eq!(port.ctrl_loss_drops, 0, "the down link took the packet");
+        port.set_up();
+        let dropped = offer(&mut port, &mut stats, vec![ctrl(1), ctrl(2)]);
+        assert_eq!(dropped, [true, false], "the budget survived the outage");
+        assert_eq!(port.ctrl_loss_drops, 1);
+    }
+
+    #[test]
+    fn ctrl_loss_drops_are_counted_and_traced() {
+        let mut port = roomy_port();
+        let mut stats = StatsCollector::new();
+        let tracer = crate::trace::TextTracer::new();
+        let trace = tracer.buffer();
+        stats.set_tracer(Box::new(tracer));
+        port.inject_ctrl_loss_burst(2);
+        offer(&mut port, &mut stats, vec![ctrl(5), ctrl(6), ctrl(7)]);
+        assert_eq!(port.synthetic_drops(), 2);
+        assert_eq!(stats.ctrl_pkts_dropped, 2);
+        stats.flush_tracer();
+        let trace = trace.lock().unwrap();
+        assert_eq!(trace.matches(" DROP ").count(), 2, "{trace}");
+        assert_eq!(trace.matches("Ctrl").count(), 2, "{trace}");
     }
 
     #[test]

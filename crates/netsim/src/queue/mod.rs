@@ -13,12 +13,10 @@
 //! crate and plugs in through the same [`Qdisc`] trait.
 
 mod droptail;
-mod lossy;
 mod red;
 mod strict_prio;
 
 pub use droptail::DropTailQdisc;
-pub use lossy::LossyQdisc;
 pub use red::RedEcnQdisc;
 pub use strict_prio::StrictPrioQdisc;
 
@@ -41,7 +39,9 @@ pub enum Enqueued {
     Evicted(Box<Packet>),
 }
 
-/// Counters every discipline keeps; read by the tracing layer.
+/// Counters every discipline keeps; read by the tracing layer. They count
+/// queueing outcomes only: fault-injected loss is tallied by the port
+/// (see [`crate::port::Port::synthetic_drops`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QdiscStats {
     /// Packets accepted into the queue.
@@ -54,10 +54,6 @@ pub struct QdiscStats {
     pub dropped_bytes: u64,
     /// Packets that received an ECN CE mark.
     pub marked_pkts: u64,
-    /// Of `dropped_pkts`, the drops forced by a fault injector (e.g.
-    /// [`LossyQdisc`]) rather than by queue overflow. Ports fold these
-    /// together with degraded-link losses into one synthetic-drop family.
-    pub forced_drops: u64,
 }
 
 /// A queue discipline on a switch/host output port.

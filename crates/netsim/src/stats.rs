@@ -57,6 +57,29 @@ impl FlowRecord {
     }
 }
 
+/// Per-node tallies: one row of the collector's dense node table, read
+/// through [`StatsCollector::node`]. Arbitrator counters are kept on the
+/// arbitrating node (switch or host); abort and corruption counters on
+/// the affected host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeCounters {
+    /// Control messages processed by the node's arbitrator.
+    pub ctrl_processed: u64,
+    /// Control messages shed by the node's overloaded arbitrator.
+    pub ctrl_shed: u64,
+    /// Arbitration requests the node's arbitrator pruned (answered
+    /// locally instead of climbing to its parent, because the accumulated
+    /// queue already exceeded the early-pruning depth; paper §3.1.2).
+    pub arb_pruned: u64,
+    /// Arbitration requests the node's arbitrator forwarded up the
+    /// hierarchy (the complement of pruning at the same decision point).
+    pub arb_climbed: u64,
+    /// Aborted flows whose source is this host.
+    pub aborts: u64,
+    /// Corrupted data packets discarded by this host's checksum.
+    pub corrupted: u64,
+}
+
 /// Global and per-flow measurement state for one simulation run.
 #[derive(Default)]
 pub struct StatsCollector {
@@ -84,10 +107,6 @@ pub struct StatsCollector {
     /// (see [`crate::invariants`]) so gray losses stay distinguishable
     /// from queue drops.
     pub data_pkts_corrupted: u64,
-    /// Corrupted-and-discarded data packets per destination host.
-    corrupted_by_host: BTreeMap<NodeId, u64>,
-    /// Aborted flows per source host, keyed by the flow's source.
-    aborts_by_host: BTreeMap<NodeId, u64>,
     /// Data packets blackholed at switches (no surviving next hop).
     /// Counted separately from [`StatsCollector::data_pkts_dropped`].
     pub data_pkts_blackholed: u64,
@@ -116,21 +135,12 @@ pub struct StatsCollector {
     /// Control messages delivered to a node with no control plugin or
     /// host service installed to receive them.
     pub ctrl_unattended: u64,
-    /// Messages processed per arbitrator node.
-    ctrl_processed_by_node: BTreeMap<NodeId, u64>,
-    /// Messages shed per arbitrator node.
-    ctrl_shed_by_node: BTreeMap<NodeId, u64>,
-    /// Peak weighted inbox depth (messages per budget epoch) per
-    /// arbitrator node.
-    ctrl_peak_epoch_by_node: BTreeMap<NodeId, u64>,
-    /// Arbitration requests a ToR arbitrator pruned (answered locally
-    /// instead of climbing to its parent, because the accumulated queue
-    /// already exceeded the early-pruning depth; paper §3.1.2). Keyed by
-    /// the pruning arbitrator's node.
-    arb_pruned_by_node: BTreeMap<NodeId, u64>,
-    /// Arbitration requests an arbitrator forwarded up the hierarchy
-    /// (the complement of pruning at the same decision point).
-    arb_climbed_by_node: BTreeMap<NodeId, u64>,
+    /// Peak weighted inbox depth (messages per budget epoch) reached by
+    /// any arbitrator.
+    pub ctrl_peak_epoch_depth: u64,
+    /// Per-node tallies, indexed by [`NodeId::index`] and grown the first
+    /// time a node is touched.
+    nodes: Vec<NodeCounters>,
     /// Total events executed (engine counter, for benchmarking).
     pub events_executed: u64,
     /// Packet-arena counters, published by [`crate::sim::Simulation::run`]
@@ -243,7 +253,8 @@ impl StatsCollector {
                 if rec.spec.measured {
                     self.completed_measured += 1;
                 }
-                *self.aborts_by_host.entry(rec.spec.src).or_insert(0) += 1;
+                let src = rec.spec.src;
+                self.node_mut(src).aborts += 1;
                 self.trace_event(
                     now,
                     &TraceEvent::FlowDone {
@@ -254,16 +265,6 @@ impl StatsCollector {
                 );
             }
         }
-    }
-
-    /// Number of aborted flows whose source was `host`.
-    pub fn aborts_on(&self, host: NodeId) -> u64 {
-        self.aborts_by_host.get(&host).copied().unwrap_or(0)
-    }
-
-    /// Per-source-host abort tallies, in node-id order (deterministic).
-    pub fn aborts_by_host(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.aborts_by_host.iter().map(|(&n, &c)| (n, c))
     }
 
     /// Record a retransmission of `bytes` payload bytes.
@@ -340,21 +341,10 @@ impl StatsCollector {
     /// sender experiences it as loss) but to its own conservation term.
     pub fn note_data_corrupted(&mut self, host: NodeId, pkt: &Packet) {
         self.data_pkts_corrupted += 1;
-        *self.corrupted_by_host.entry(host).or_insert(0) += 1;
+        self.node_mut(host).corrupted += 1;
         if let Some(rec) = self.flows.get_mut(&pkt.flow) {
             rec.drops += 1;
         }
-    }
-
-    /// Corrupted data packets discarded at `host`.
-    pub fn corrupted_on(&self, host: NodeId) -> u64 {
-        self.corrupted_by_host.get(&host).copied().unwrap_or(0)
-    }
-
-    /// Per-destination-host corruption tallies, in node-id order
-    /// (deterministic).
-    pub fn corrupted_by_host(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.corrupted_by_host.iter().map(|(&n, &c)| (n, c))
     }
 
     /// Record a packet consumed by a switch plugin instead of forwarded.
@@ -373,33 +363,32 @@ impl StatsCollector {
     /// Record a control message processed by the arbitrator on `node`.
     pub fn note_ctrl_processed(&mut self, node: NodeId) {
         self.ctrl_msgs_processed += 1;
-        *self.ctrl_processed_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).ctrl_processed += 1;
     }
 
     /// Record a control message shed by the overloaded arbitrator on
     /// `node` (its per-epoch budget was exhausted).
     pub fn note_ctrl_shed(&mut self, node: NodeId) {
         self.ctrl_msgs_shed += 1;
-        *self.ctrl_shed_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).ctrl_shed += 1;
     }
 
-    /// Record the weighted inbox depth the arbitrator on `node` reached
-    /// within one budget epoch; keeps the per-node peak.
-    pub fn note_ctrl_epoch_depth(&mut self, node: NodeId, depth: u64) {
-        let peak = self.ctrl_peak_epoch_by_node.entry(node).or_insert(0);
-        *peak = (*peak).max(depth);
+    /// Record the weighted inbox depth an arbitrator reached within one
+    /// budget epoch; keeps the peak.
+    pub fn note_ctrl_epoch_depth(&mut self, depth: u64) {
+        self.ctrl_peak_epoch_depth = self.ctrl_peak_epoch_depth.max(depth);
     }
 
     /// Record an arbitration request pruned (answered locally) by the
     /// arbitrator on `node` instead of climbing to its parent.
     pub fn note_arb_pruned(&mut self, node: NodeId) {
-        *self.arb_pruned_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).arb_pruned += 1;
     }
 
     /// Record an arbitration request the arbitrator on `node` forwarded
     /// up the hierarchy.
     pub fn note_arb_climbed(&mut self, node: NodeId) {
-        *self.arb_climbed_by_node.entry(node).or_insert(0) += 1;
+        self.node_mut(node).arb_climbed += 1;
     }
 
     /// Record a corrupted control packet discarded at its destination.
@@ -419,57 +408,45 @@ impl StatsCollector {
         self.ctrl_unattended += 1;
     }
 
-    /// Messages processed by the arbitrator on `node`.
-    pub fn ctrl_processed_on(&self, node: NodeId) -> u64 {
-        self.ctrl_processed_by_node.get(&node).copied().unwrap_or(0)
+    /// The tallies of `node` (all zero for a node never touched).
+    pub fn node(&self, node: NodeId) -> NodeCounters {
+        self.nodes.get(node.index()).copied().unwrap_or_default()
     }
 
-    /// Messages shed by the arbitrator on `node`.
-    pub fn ctrl_shed_on(&self, node: NodeId) -> u64 {
-        self.ctrl_shed_by_node.get(&node).copied().unwrap_or(0)
+    fn node_mut(&mut self, node: NodeId) -> &mut NodeCounters {
+        let i = node.index();
+        if i >= self.nodes.len() {
+            self.nodes.resize(i + 1, NodeCounters::default());
+        }
+        &mut self.nodes[i]
     }
 
-    /// Peak weighted per-epoch inbox depth seen on `node`.
-    pub fn ctrl_peak_epoch_on(&self, node: NodeId) -> u64 {
-        self.ctrl_peak_epoch_by_node
-            .get(&node)
-            .copied()
-            .unwrap_or(0)
+    /// `(node, field(row))` for every node whose field is nonzero, in
+    /// node-id order (deterministic).
+    fn nonzero_by_node(
+        &self,
+        field: fn(&NodeCounters) -> u64,
+    ) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(move |(i, c)| (NodeId(i as u32), field(c)))
+            .filter(|&(_, n)| n > 0)
     }
 
-    /// Per-arbitrator processed tallies, in node-id order (deterministic).
+    /// Per-arbitrator processed tallies (nonzero only), in node-id order.
     pub fn ctrl_processed_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.ctrl_processed_by_node.iter().map(|(&n, &c)| (n, c))
+        self.nonzero_by_node(|c| c.ctrl_processed)
     }
 
-    /// Per-arbitrator shed tallies, in node-id order (deterministic).
-    pub fn ctrl_shed_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.ctrl_shed_by_node.iter().map(|(&n, &c)| (n, c))
-    }
-
-    /// Per-arbitrator peak epoch depth, in node-id order (deterministic).
-    pub fn ctrl_peak_epoch_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.ctrl_peak_epoch_by_node.iter().map(|(&n, &c)| (n, c))
-    }
-
-    /// Requests pruned by the arbitrator on `node`.
-    pub fn arb_pruned_on(&self, node: NodeId) -> u64 {
-        self.arb_pruned_by_node.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Requests climbed (forwarded up) by the arbitrator on `node`.
-    pub fn arb_climbed_on(&self, node: NodeId) -> u64 {
-        self.arb_climbed_by_node.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Per-arbitrator pruned tallies, in node-id order (deterministic).
+    /// Per-arbitrator pruned tallies (nonzero only), in node-id order.
     pub fn arb_pruned_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.arb_pruned_by_node.iter().map(|(&n, &c)| (n, c))
+        self.nonzero_by_node(|c| c.arb_pruned)
     }
 
-    /// Per-arbitrator climbed tallies, in node-id order (deterministic).
+    /// Per-arbitrator climbed tallies (nonzero only), in node-id order.
     pub fn arb_climbed_by_node(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.arb_climbed_by_node.iter().map(|(&n, &c)| (n, c))
+        self.nonzero_by_node(|c| c.arb_climbed)
     }
 
     /// Have all measured flows completed?
@@ -598,9 +575,8 @@ mod tests {
         assert!(rec.aborted);
         assert_eq!(rec.abort_reason, Some(AbortReason::HostCrash));
         assert_eq!(rec.completed, Some(SimTime::from_millis(1)));
-        assert_eq!(st.aborts_on(NodeId(0)), 2, "both flows originate at n0");
-        assert_eq!(st.aborts_on(NodeId(1)), 0);
-        assert_eq!(st.aborts_by_host().collect::<Vec<_>>(), [(NodeId(0), 2)]);
+        assert_eq!(st.node(NodeId(0)).aborts, 2, "both flows originate at n0");
+        assert_eq!(st.node(NodeId(1)).aborts, 0);
         assert!(st.all_measured_complete(), "aborts terminate the run");
     }
 
@@ -613,9 +589,8 @@ mod tests {
         st.note_data_corrupted(NodeId(1), &pkt);
         assert_eq!(st.data_pkts_corrupted, 2);
         assert_eq!(st.data_pkts_dropped, 0, "corruption is not a queue drop");
-        assert_eq!(st.corrupted_on(NodeId(1)), 2);
-        assert_eq!(st.corrupted_on(NodeId(0)), 0);
-        assert_eq!(st.corrupted_by_host().collect::<Vec<_>>(), [(NodeId(1), 2)]);
+        assert_eq!(st.node(NodeId(1)).corrupted, 2);
+        assert_eq!(st.node(NodeId(0)).corrupted, 0);
         assert_eq!(st.flow(FlowId(0)).unwrap().drops, 2, "sender sees loss");
     }
 
@@ -626,20 +601,21 @@ mod tests {
         st.note_ctrl_processed(NodeId(3));
         st.note_ctrl_processed(NodeId(5));
         st.note_ctrl_shed(NodeId(3));
-        st.note_ctrl_epoch_depth(NodeId(3), 7);
-        st.note_ctrl_epoch_depth(NodeId(3), 4);
+        st.note_ctrl_epoch_depth(7);
+        st.note_ctrl_epoch_depth(4);
         assert_eq!(st.ctrl_msgs_processed, 3);
         assert_eq!(st.ctrl_msgs_shed, 1);
-        assert_eq!(st.ctrl_processed_on(NodeId(3)), 2);
-        assert_eq!(st.ctrl_processed_on(NodeId(5)), 1);
-        assert_eq!(st.ctrl_shed_on(NodeId(3)), 1);
-        assert_eq!(st.ctrl_shed_on(NodeId(5)), 0);
-        assert_eq!(st.ctrl_peak_epoch_on(NodeId(3)), 7, "peak, not last");
+        assert_eq!(st.node(NodeId(3)).ctrl_processed, 2);
+        assert_eq!(st.node(NodeId(5)).ctrl_processed, 1);
+        assert_eq!(st.node(NodeId(3)).ctrl_shed, 1);
+        assert_eq!(st.node(NodeId(5)).ctrl_shed, 0);
+        assert_eq!(st.node(NodeId(99)), NodeCounters::default());
+        assert_eq!(st.ctrl_peak_epoch_depth, 7, "peak, not last");
         assert_eq!(
             st.ctrl_processed_by_node().collect::<Vec<_>>(),
-            [(NodeId(3), 2), (NodeId(5), 1)]
+            [(NodeId(3), 2), (NodeId(5), 1)],
+            "nonzero rows only, in node order"
         );
-        assert_eq!(st.ctrl_shed_by_node().collect::<Vec<_>>(), [(NodeId(3), 1)]);
     }
 
     #[test]

@@ -316,6 +316,46 @@ fn ctrl_loss_burst_kills_exactly_the_burst_window() {
     assert_eq!(s.ports()[port.index()].faults_injected, 1);
 }
 
+#[test]
+fn unbounded_ctrl_loss_burst_drops_every_ctrl_packet() {
+    let ctrl_seen = Arc::new(AtomicU64::new(0));
+    let (mut sim, hosts, sw) = two_hosts(Arc::new(RetryFactory));
+    if let Node::Host(h) = sim.node_mut(hosts[1]) {
+        h.set_service(Box::new(CountingService {
+            ctrl_seen: Arc::clone(&ctrl_seen),
+        }));
+    }
+    // A `u64::MAX` burst is a permanent blackout, and stacking another
+    // burst on top of it must saturate rather than wrap.
+    sim.inject_faults(
+        &FaultPlan::new()
+            .ctrl_loss_burst(SimTime::from_nanos(1), sw, hosts[1], u64::MAX)
+            .ctrl_loss_burst(SimTime::from_nanos(2), sw, hosts[1], 5),
+    );
+    for t in 2u64..52 {
+        sim.scheduler_mut().schedule_deliver(
+            SimTime::from_micros(t),
+            sw,
+            Packet::ctrl(FlowId(7), hosts[0], hosts[1], Box::new(t)),
+        );
+    }
+    sim.run(RunLimit::default());
+    assert_eq!(
+        ctrl_seen.load(Ordering::Relaxed),
+        0,
+        "no ctrl packet survives"
+    );
+    assert_eq!(sim.stats().ctrl_pkts_dropped, 50);
+    let port = sim.topo().port_between(sw, hosts[1]).unwrap();
+    let Node::Switch(s) = sim.node(sw) else {
+        panic!()
+    };
+    let port = &s.ports()[port.index()];
+    assert_eq!(port.ctrl_loss_drops, 50);
+    assert_eq!(port.synthetic_drops(), 50);
+    assert_eq!(port.faults_injected, 2);
+}
+
 /// A plugin that consumes every probe and counts timer ticks.
 struct ProbeEater {
     eaten: u64,

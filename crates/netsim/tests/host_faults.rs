@@ -169,7 +169,7 @@ fn crashing_the_source_aborts_its_flows_terminally() {
     let rec = sim.stats().flow(FlowId(0)).unwrap();
     assert!(rec.completed.is_some());
     assert_eq!(rec.abort_reason, Some(AbortReason::HostCrash));
-    assert_eq!(sim.stats().aborts_on(hosts[0]), 1);
+    assert_eq!(sim.stats().node(hosts[0]).aborts, 1);
     let Node::Host(h) = sim.node(hosts[0]) else {
         panic!()
     };
@@ -235,7 +235,7 @@ fn degraded_access_link_corrupts_data_and_retry_recovers() {
         stats.data_pkts_corrupted
     );
     assert_eq!(
-        stats.corrupted_on(hosts[1]),
+        stats.node(hosts[1]).corrupted,
         stats.data_pkts_corrupted,
         "all corruption lands on the receiver"
     );

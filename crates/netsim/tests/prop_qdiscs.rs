@@ -5,7 +5,7 @@
 
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::Packet;
-use netsim::queue::{DropTailQdisc, Enqueued, LossyQdisc, Qdisc, RedEcnQdisc, StrictPrioQdisc};
+use netsim::queue::{DropTailQdisc, Enqueued, Qdisc, RedEcnQdisc, StrictPrioQdisc};
 use netsim::rng::Rng;
 use netsim::time::SimTime;
 
@@ -118,21 +118,6 @@ fn strict_prio_invariants() {
             Box::new(StrictPrioQdisc::new(bands, cap, cap)),
             ops,
             cap * bands,
-        );
-    }
-}
-
-#[test]
-fn lossy_wrapper_invariants() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0x1055 ^ seed);
-        let cap = rng.gen_range_inclusive(1, 63) as usize;
-        let period = rng.gen_below(7);
-        let ops = ops(&mut rng);
-        check_invariants(
-            Box::new(LossyQdisc::new(Box::new(DropTailQdisc::new(cap)), period)),
-            ops,
-            cap,
         );
     }
 }

@@ -240,7 +240,7 @@ impl HostService for PaseHostService {
         };
         let now = io.now();
         let depth = self.budget.charge(now);
-        io.sim.stats.note_ctrl_epoch_depth(self.me, depth);
+        io.sim.stats.note_ctrl_epoch_depth(depth);
         if !self.budget.protected() && self.budget.overflowed(depth) {
             // Unprotected bounded inbox: silent tail drop of whatever
             // arrived — responses and FlowDone releases included, so

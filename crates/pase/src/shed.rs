@@ -66,7 +66,7 @@ impl InboxBudget {
     /// window when it has elapsed. Returns the weighted inbox depth after
     /// the arrival — feed it to
     /// [`netsim::stats::StatsCollector::note_ctrl_epoch_depth`] (which
-    /// keeps the per-node peak) and to [`InboxBudget::should_shed`].
+    /// keeps the run-wide peak) and to [`InboxBudget::should_shed`].
     pub fn charge(&mut self, now: SimTime) -> u64 {
         if now >= self.epoch_start + self.epoch {
             self.epoch_start = now;

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use netsim::node::Node;
 use netsim::packet::PacketKind;
 use netsim::prelude::*;
-use netsim::queue::LossyQdisc;
 use netsim::trace::{TextTracer, TraceEvent, TraceSink};
 use pase::{install, pase_qdisc, PaseConfig, PaseFactory, PaseSender, PaseSwitchPlugin};
 
@@ -175,19 +174,21 @@ fn queue_promotions_do_not_reorder_data_on_the_wire() {
 
 #[test]
 fn control_plane_loss_does_not_stall_flows() {
-    // Drop every 3rd control packet in the fabric: arbitration responses
-    // and FlowDone messages get lost. Flows must still complete (local
-    // decisions + periodic refresh are the fallback) and arbitrator state
-    // must still converge via expiry.
+    // A 3-packet control-loss burst on every switch→host direction every
+    // 600 us through the whole run: arbitration responses and FlowDone
+    // messages get lost. Flows must still complete (local decisions +
+    // periodic refresh are the fallback) and arbitrator state must still
+    // converge via expiry.
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(6, cfg, &|spec| {
-        let inner = Box::new(pase_qdisc(&cfg, 250, 20));
-        if spec.node_is_host {
-            inner
-        } else {
-            Box::new(LossyQdisc::for_kind(inner, 3, PacketKind::Ctrl))
+    let (mut sim, hosts) = star_sim_with(6, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let sw = sim.topo().host_tor(hosts[0]);
+    let mut plan = FaultPlan::new();
+    for k in 0..11 {
+        for &h in &hosts {
+            plan = plan.ctrl_loss_burst(SimTime::from_micros(k * 600), sw, h, 3);
         }
-    });
+    }
+    sim.inject_faults(&plan);
     for i in 0..15u64 {
         let src = (i % 5) as usize;
         let dst = {
@@ -211,6 +212,13 @@ fn control_plane_loss_does_not_stall_flows() {
         outcome,
         RunOutcome::MeasuredComplete,
         "flows must survive control-plane loss"
+    );
+    let st = sim.stats();
+    assert!(
+        st.ctrl_pkts_dropped * 10 >= st.ctrl_pkts * 3,
+        "the schedule must kill at least 30% of control packets: {} of {}",
+        st.ctrl_pkts_dropped,
+        st.ctrl_pkts
     );
 }
 
@@ -522,7 +530,11 @@ fn crashed_host_lease_expiry_frees_the_top_queue() {
     // shared path has expired the dead flow's lease and the survivor is
     // solo again.
     sim.run(until(6));
-    assert_eq!(sim.stats().aborts_on(hosts[0]), 1, "crash aborts the flow");
+    assert_eq!(
+        sim.stats().node(hosts[0]).aborts,
+        1,
+        "crash aborts the flow"
+    );
     let tor = sim.topo().host_tor(hosts[1]);
     {
         let Node::Switch(sw) = sim.node_mut(tor) else {
@@ -639,7 +651,7 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
         "the storm must shed requests"
     );
     assert!(
-        sim.stats().ctrl_shed_on(hosts[3]) > 0,
+        sim.stats().node(hosts[3]).ctrl_shed > 0,
         "shedding happens at the stormed arbitrator"
     );
     {
@@ -681,17 +693,16 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
 
 #[test]
 fn total_arbitration_blackout_still_completes() {
-    // Drop EVERY control packet: PASE degrades to endpoint-local
-    // arbitration plus self-adjustment, and still finishes.
+    // An endless control-loss burst on every switch→host direction drops
+    // every control packet the switch forwards: PASE degrades to
+    // endpoint-local arbitration plus self-adjustment, and still finishes.
     let cfg = cfg();
-    let (mut sim, hosts) = star_sim_with(4, cfg, &|spec| {
-        let inner = Box::new(pase_qdisc(&cfg, 250, 20));
-        if spec.node_is_host {
-            inner
-        } else {
-            Box::new(LossyQdisc::for_kind(inner, 1, PacketKind::Ctrl))
-        }
+    let (mut sim, hosts) = star_sim_with(4, cfg, &|_| Box::new(pase_qdisc(&cfg, 250, 20)));
+    let sw = sim.topo().host_tor(hosts[0]);
+    let plan = hosts.iter().fold(FaultPlan::new(), |plan, &h| {
+        plan.ctrl_loss_burst(SimTime::from_nanos(1), sw, h, u64::MAX)
     });
+    sim.inject_faults(&plan);
     for i in 0..6u64 {
         sim.add_flow(FlowSpec::new(
             FlowId(i),
@@ -703,4 +714,12 @@ fn total_arbitration_blackout_still_completes() {
     }
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(20)));
     assert_eq!(outcome, RunOutcome::MeasuredComplete);
+    // At least 47 of every 48 control packets sent die (this run sends 48).
+    let st = sim.stats();
+    assert!(
+        st.ctrl_pkts_dropped * 48 >= st.ctrl_pkts * 47,
+        "blackout let control through: {} of {} dropped",
+        st.ctrl_pkts_dropped,
+        st.ctrl_pkts
+    );
 }

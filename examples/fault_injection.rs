@@ -4,21 +4,22 @@
 //! cargo run --release --example fault_injection
 //! ```
 //!
-//! Wraps every switch port in a deterministic packet-dropper
-//! ([`netsim::queue::LossyQdisc`]) and compares PASE flows on a clean
-//! fabric against the same flows when 1 in N data packets dies in the
-//! network. Demonstrates the two recovery paths of the paper's transport:
-//! top-queue flows use ordinary retransmission timeouts while lower-queue
-//! flows probe first (§3.2), so injected loss degrades FCTs smoothly
-//! instead of stalling flows for 200 ms RTOs.
+//! Degrades every host–ToR link with a seeded loss profile
+//! ([`netsim::fault::DegradeProfile`] through [`FaultPlan::link_degrade`])
+//! and compares PASE flows on a clean fabric against the same flows when
+//! 1 in N packets (data, ACKs and control alike) dies on every hop. The
+//! losses are drawn from a per-direction RNG, so each run replays
+//! byte-identically. Demonstrates the two recovery paths of the paper's
+//! transport: top-queue flows use ordinary retransmission timeouts while
+//! lower-queue flows probe first (§3.2), so injected loss degrades FCTs
+//! smoothly instead of stalling flows for 200 ms RTOs.
 
 use std::sync::Arc;
 
 use pase::{install, pase_qdisc, PaseConfig, PaseFactory};
 use pase_repro::netsim::prelude::*;
-use pase_repro::netsim::queue::LossyQdisc;
 
-fn run(drop_every: u64) -> (f64, u64, u64, u64) {
+fn run(drop_every: u32) -> (f64, u64, u64, u64) {
     let cfg = PaseConfig {
         base_rtt: SimDuration::from_micros(100),
         arb_refresh: SimDuration::from_micros(100),
@@ -31,16 +32,23 @@ fn run(drop_every: u64) -> (f64, u64, u64, u64) {
     for &h in &hosts {
         b.connect(h, tor, Rate::from_gbps(1), SimDuration::from_micros(25));
     }
-    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|spec| {
-        let inner = Box::new(pase_qdisc(&cfg, 500, 20));
-        if spec.node_is_host {
-            inner // hosts' NICs are healthy; the fabric is faulty
-        } else {
-            Box::new(LossyQdisc::new(inner, drop_every))
-        }
+    let net = b.build(Arc::new(PaseFactory::new(cfg)), &|_| {
+        Box::new(pase_qdisc(&cfg, 500, 20))
     });
     let mut sim = Simulation::new(net);
     install(&mut sim, cfg);
+    // `drop_every = 0` leaves the fabric clean.
+    if let Some(loss_ppm) = 1_000_000u32.checked_div(drop_every) {
+        let lossy = DegradeProfile {
+            seed: 7,
+            loss_ppm,
+            ..DegradeProfile::default()
+        };
+        let plan = hosts.iter().fold(FaultPlan::new(), |plan, &h| {
+            plan.link_degrade(SimTime::ZERO, h, tor, lossy)
+        });
+        sim.inject_faults(&plan);
+    }
     for i in 0..40u64 {
         let src = (i % 7) as usize;
         let dst = {
@@ -77,10 +85,10 @@ fn run(drop_every: u64) -> (f64, u64, u64, u64) {
 fn main() {
     println!(
         "{:>14} {:>10} {:>9} {:>10} {:>8}",
-        "fault", "AFCT(ms)", "timeouts", "rtx(B)", "drops"
+        "loss per hop", "AFCT(ms)", "timeouts", "rtx(B)", "drops"
     );
     for (label, drop_every) in [
-        ("none", 0u64),
+        ("none", 0u32),
         ("1/1000 pkts", 1000),
         ("1/200 pkts", 200),
         ("1/50 pkts", 50),
