@@ -13,12 +13,13 @@ use netsim::prelude::*;
 use netsim::trace::HashTracer;
 use workloads::{Pattern, Scenario, Scheme, SizeDist, TopologySpec};
 
-/// Peak-RSS ceiling for the whole smoke (two k=8 builds + runs). The
-/// compact-FIB refactor keeps the k=8 world around 30 MiB; the budget
-/// leaves ~8x headroom for allocator and toolchain noise while still
-/// catching a return to dense per-switch route tables or per-flow
-/// metric vectors that balloon with scale.
-const PEAK_RSS_BUDGET: u64 = 256 * 1024 * 1024;
+/// Peak-RSS ceiling for the whole smoke (two k=8 builds + runs). Compact
+/// FIBs and qdiscs that reserve no packet storage up front keep the k=8
+/// world around 6 MiB; the budget leaves ~2.5x headroom for allocator and
+/// toolchain noise while still catching a return to eager queue
+/// reservation (~30 MiB at k=8), dense per-switch route tables, or
+/// per-flow metric vectors that balloon with scale.
+const PEAK_RSS_BUDGET: u64 = 16 * 1024 * 1024;
 
 /// `VmHWM` from `/proc/self/status`, in bytes (0 when unavailable).
 fn peak_rss_bytes() -> u64 {

@@ -19,11 +19,12 @@ pub struct DropTailQdisc {
 }
 
 impl DropTailQdisc {
-    /// Create a drop-tail queue holding at most `cap_pkts` packets.
+    /// Create a drop-tail queue holding at most `cap_pkts` packets. No
+    /// packet storage is reserved: the cap is only an admission limit.
     pub fn new(cap_pkts: usize) -> Self {
         assert!(cap_pkts > 0, "queue capacity must be positive");
         DropTailQdisc {
-            queue: VecDeque::with_capacity(cap_pkts.min(4096)),
+            queue: VecDeque::new(),
             cap_pkts,
             bytes: 0,
             stats: QdiscStats::default(),
@@ -97,22 +98,24 @@ mod tests {
 
     #[test]
     fn drops_when_full() {
-        let mut q = DropTailQdisc::new(2);
-        assert!(matches!(
-            q.enqueue(pkt(0, 0, 0), SimTime::ZERO),
-            Enqueued::Ok
-        ));
-        assert!(matches!(
-            q.enqueue(pkt(1, 0, 0), SimTime::ZERO),
-            Enqueued::Ok
-        ));
-        match q.enqueue(pkt(2, 0, 0), SimTime::ZERO) {
-            Enqueued::RejectedArrival(p) => assert_eq!(p.flow.0, 2),
+        let mut q = DropTailQdisc::new(5);
+        // The cap is an admission limit, not a reservation.
+        assert_eq!(q.queue.capacity(), 0);
+        for i in 0..5 {
+            assert!(matches!(
+                q.enqueue(pkt(i, 0, 0), SimTime::ZERO),
+                Enqueued::Ok
+            ));
+        }
+        // Storage grew on demand to hold the packets; admission stops at 5.
+        assert!(q.queue.capacity() >= 5);
+        match q.enqueue(pkt(5, 0, 0), SimTime::ZERO) {
+            Enqueued::RejectedArrival(p) => assert_eq!(p.flow.0, 5),
             other => panic!("expected drop, got {other:?}"),
         }
         assert_eq!(q.stats().dropped_pkts, 1);
-        assert_eq!(q.stats().enqueued_pkts, 2);
-        assert_eq!(q.len_pkts(), 2);
+        assert_eq!(q.stats().enqueued_pkts, 5);
+        assert_eq!(q.len_pkts(), 5);
     }
 
     #[test]

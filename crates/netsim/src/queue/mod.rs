@@ -11,6 +11,9 @@
 //!
 //! pFabric's rank-based scheduling/dropping queue lives in the `pfabric`
 //! crate and plugs in through the same [`Qdisc`] trait.
+//!
+//! Qdiscs reserve no packet storage at construction: a queue's buffer
+//! grows with its occupancy, and its packet cap is only an admission check.
 
 mod droptail;
 mod red;

@@ -26,7 +26,8 @@ pub struct RedEcnQdisc {
 
 impl RedEcnQdisc {
     /// Create a queue of `cap_pkts` capacity marking CE when occupancy
-    /// reaches `mark_thresh` packets.
+    /// reaches `mark_thresh` packets. No packet storage is reserved: the
+    /// cap is only an admission limit.
     pub fn new(cap_pkts: usize, mark_thresh: usize) -> Self {
         assert!(cap_pkts > 0, "queue capacity must be positive");
         assert!(
@@ -34,7 +35,7 @@ impl RedEcnQdisc {
             "marking threshold {mark_thresh} exceeds capacity {cap_pkts}"
         );
         RedEcnQdisc {
-            queue: VecDeque::with_capacity(cap_pkts.min(4096)),
+            queue: VecDeque::new(),
             cap_pkts,
             mark_thresh,
             bytes: 0,
@@ -50,6 +51,13 @@ impl RedEcnQdisc {
     /// The configured capacity in packets.
     pub fn capacity(&self) -> usize {
         self.cap_pkts
+    }
+
+    /// Packet slots currently allocated (not occupied), for tests that
+    /// pin the storage rule.
+    #[cfg(test)]
+    pub(super) fn reserved_slots(&self) -> usize {
+        self.queue.capacity()
     }
 }
 
@@ -127,16 +135,24 @@ mod tests {
 
     #[test]
     fn drops_on_overflow() {
-        let mut q = RedEcnQdisc::new(1, 1);
-        assert!(matches!(
-            q.enqueue(pkt(0, 0, 0), SimTime::ZERO),
-            Enqueued::Ok
-        ));
-        assert!(matches!(
-            q.enqueue(pkt(1, 0, 0), SimTime::ZERO),
-            Enqueued::RejectedArrival(_)
-        ));
+        let mut q = RedEcnQdisc::new(5, 5);
+        // The cap is an admission limit, not a reservation.
+        assert_eq!(q.reserved_slots(), 0);
+        for i in 0..5 {
+            assert!(matches!(
+                q.enqueue(pkt(i, 0, 0), SimTime::ZERO),
+                Enqueued::Ok
+            ));
+        }
+        // Storage grew on demand to hold the packets; admission stops at 5.
+        assert!(q.reserved_slots() >= 5);
+        match q.enqueue(pkt(5, 0, 0), SimTime::ZERO) {
+            Enqueued::RejectedArrival(p) => assert_eq!(p.flow.0, 5),
+            other => panic!("expected drop, got {other:?}"),
+        }
+        assert_eq!(q.len_pkts(), 5);
         assert_eq!(q.stats().dropped_pkts, 1);
+        assert_eq!(q.stats().enqueued_pkts, 5);
     }
 
     #[test]

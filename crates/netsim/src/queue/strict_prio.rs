@@ -140,6 +140,9 @@ mod tests {
     #[test]
     fn band_overflow_drops_only_that_band() {
         let mut q = StrictPrioQdisc::new(2, 1, 1);
+        // No band reserves packet storage up front (PASE ports build
+        // eight 500-packet bands each).
+        assert!(q.bands.iter().all(|b| b.reserved_slots() == 0));
         assert!(matches!(
             q.enqueue(pkt(0, 0, 0), SimTime::ZERO),
             Enqueued::Ok

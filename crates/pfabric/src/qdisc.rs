@@ -32,11 +32,12 @@ pub struct PFabricQdisc {
 }
 
 impl PFabricQdisc {
-    /// Create a queue holding at most `cap_pkts` packets.
+    /// Create a queue holding at most `cap_pkts` packets. No packet
+    /// storage is reserved: the cap is only an admission limit.
     pub fn new(cap_pkts: usize) -> Self {
         assert!(cap_pkts > 0, "queue capacity must be positive");
         PFabricQdisc {
-            queue: VecDeque::with_capacity(cap_pkts),
+            queue: VecDeque::new(),
             cap_pkts,
             bytes: 0,
             stats: QdiscStats::default(),
@@ -185,13 +186,27 @@ mod tests {
     #[test]
     fn full_queue_rejects_worse_arrival() {
         let mut q = PFabricQdisc::new(2);
+        // The cap is an admission limit, not a reservation.
+        assert_eq!(q.queue.capacity(), 0);
         q.enqueue(pkt(1, 0, 100), SimTime::ZERO);
         q.enqueue(pkt(2, 0, 200), SimTime::ZERO);
         match q.enqueue(pkt(3, 0, 900), SimTime::ZERO) {
             Enqueued::RejectedArrival(p) => assert_eq!(p.flow.0, 3),
             other => panic!("expected rejection, got {other:?}"),
         }
+        assert_eq!(q.len_pkts(), 2);
         assert_eq!(q.stats().dropped_pkts, 1);
+    }
+
+    #[test]
+    fn unbounded_cap_builds_and_orders_by_rank() {
+        // A cap far beyond any allocation must not be turned into one.
+        let mut q = PFabricQdisc::new(usize::MAX);
+        assert_eq!(q.queue.capacity(), 0);
+        q.enqueue(pkt(1, 0, 300), SimTime::ZERO);
+        q.enqueue(pkt(2, 0, 100), SimTime::ZERO);
+        q.enqueue(pkt(3, 0, 200), SimTime::ZERO);
+        assert_eq!(drain_flows(&mut q), vec![2, 3, 1]);
     }
 
     #[test]
