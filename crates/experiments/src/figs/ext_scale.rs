@@ -21,19 +21,12 @@
 //!   forwarding, swept over the pruning depth with delegation disabled
 //!   (delegation subsumes pruning for aggregation–core requests, so the
 //!   sweep isolates the pruning knob the paper's §3.1.2 tunes).
-//!
-//! Metrics for the big runs stream through the GK quantile sketch
-//! ([`MetricsMode::Sketch`]) so the collector stays O(active flows) —
-//! exactly the path the scale refactor added.
 
 use netsim::prelude::*;
 use netsim::topology::NodeKind;
 use netsim::trace::HashTracer;
 use pase::tree::{Level, TreeInfo};
-use workloads::{
-    collect_with, CasePlan, MetricsMode, Pattern, RunMetrics, Scenario, Scheme, SizeDist,
-    TopologySpec,
-};
+use workloads::{collect, CasePlan, Pattern, RunMetrics, Scenario, Scheme, SizeDist, TopologySpec};
 
 use crate::opts::ExpOpts;
 use crate::report::FigResult;
@@ -147,9 +140,7 @@ fn run_scale(scheme: Scheme, scenario: &Scenario, seed: u64, traced: bool) -> Ru
     let sim_secs = sim.now().as_nanos() as f64 / 1e9;
     let pruned: u64 = sim.stats().arb_pruned_by_node().map(|(_, n)| n).sum();
     let climbed: u64 = sim.stats().arb_climbed_by_node().map(|(_, n)| n).sum();
-    // The big runs stream their FCTs through the quantile sketch so the
-    // collector never materializes a per-flow vector.
-    let metrics = collect_with(&sim, outcome, MetricsMode::Sketch);
+    let metrics = collect(&sim, outcome);
     RunOut {
         metrics,
         tiers,
@@ -216,7 +207,7 @@ pub fn run(opts: &ExpOpts) -> FigResult {
         pase.digest.unwrap_or(0)
     ));
     fig.note(format!(
-        "PASE: AFCT {:.3} ms, p99 {:.3} ms, {} flows completed (metrics via GK sketch)",
+        "PASE: AFCT {:.3} ms, p99 {:.3} ms, {} flows completed",
         pase.metrics.afct_ms, pase.metrics.p99_ms, pase.metrics.n_completed
     ));
     fig.note(format!(

@@ -116,6 +116,17 @@ pub struct Violation {
     pub detail: String,
 }
 
+impl Violation {
+    /// A port queue on `node` holding `len` packets, over `bound`.
+    pub(crate) fn queue_bound(at: SimTime, node: NodeId, len: usize, bound: usize) -> Violation {
+        Violation {
+            at,
+            invariant: Invariant::QueueBound,
+            detail: format!("queue on {node} holds {len} pkts (bound {bound})"),
+        }
+    }
+}
+
 impl core::fmt::Display for Violation {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "[{}] {}: {}", self.at, self.invariant, self.detail)
@@ -193,14 +204,9 @@ impl InvariantMonitor {
 
     /// Record a queue-bound violation found by a scan.
     pub(crate) fn note_queue_violation(&mut self, now: SimTime, node: NodeId, len: usize) {
-        self.violations.push(Violation {
-            at: now,
-            invariant: Invariant::QueueBound,
-            detail: format!(
-                "queue on {node} holds {len} pkts (bound {})",
-                self.cfg.max_queue_pkts
-            ),
-        });
+        let bound = self.cfg.max_queue_pkts;
+        self.violations
+            .push(Violation::queue_bound(now, node, len, bound));
     }
 }
 

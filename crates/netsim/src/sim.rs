@@ -386,14 +386,7 @@ impl Simulation {
             });
             let len = port.queue_len_pkts();
             if len > cfg.max_queue_pkts {
-                violations.push(Violation {
-                    at: now,
-                    invariant: Invariant::QueueBound,
-                    detail: format!(
-                        "queue on {node} holds {len} pkts (bound {})",
-                        cfg.max_queue_pkts
-                    ),
-                });
+                violations.push(Violation::queue_bound(now, node, len, cfg.max_queue_pkts));
             }
         });
         let mut on_wire_total = 0u64;

@@ -154,6 +154,12 @@ impl PaseConfig {
         self.n_queues - 1
     }
 
+    /// Whether early pruning stops a request whose worst queue along its
+    /// leg so far is `acc_queue` from climbing any further.
+    pub fn prunes(&self, acc_queue: u8) -> bool {
+        self.early_pruning && acc_queue >= self.prune_depth
+    }
+
     /// Switch off every control-plane optimization (Fig. 11 baseline).
     pub fn without_optimizations(mut self) -> Self {
         self.early_pruning = false;

@@ -276,8 +276,7 @@ impl PaseSender {
         // of the top queues).
         let mut sender_leg_sent = false;
         if let Some(tor) = self.plan.sender_leg_to {
-            let pruned = self.cfg.early_pruning && self.local.queue >= self.cfg.prune_depth;
-            if pruned {
+            if self.cfg.prunes(self.local.queue) {
                 ctx.sim.stats.note_arb_pruned(self.spec.src);
             } else {
                 ctx.sim.stats.note_arb_climbed(self.spec.src);
@@ -438,22 +437,12 @@ impl PaseSender {
         if self.engine.in_recovery() {
             return;
         }
-        if self.in_fallback {
-            // Self-adjusting fallback: plain DCTCP growth (the marked-ACK
-            // decrease above still applies), exactly as if no arbitrator
-            // had ever answered.
-            let pkts = pkts * 0.5;
-            if self.engine.cwnd < self.ssthresh {
-                self.engine.cwnd += pkts;
-            } else {
-                self.engine.cwnd += pkts / self.engine.cwnd;
-            }
-            return;
-        }
-        if !self.cfg.use_reference_rate {
-            // PASE-DCTCP (Fig. 13a): plain DCTCP growth, with the same
-            // delayed-ACK pacing real DCTCP stacks exhibit (half a packet
-            // of growth per acked packet).
+        if self.in_fallback || !self.cfg.use_reference_rate {
+            // Plain DCTCP growth (the marked-ACK decrease above still
+            // applies), with the same delayed-ACK pacing real DCTCP stacks
+            // exhibit (half a packet of growth per acked packet). Both the
+            // self-adjusting fallback — exactly as if no arbitrator had
+            // ever answered — and PASE-DCTCP (Fig. 13a) ride it.
             let pkts = pkts * 0.5;
             if self.engine.cwnd < self.ssthresh {
                 self.engine.cwnd += pkts;

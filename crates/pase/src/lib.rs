@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod algorithm;
+mod arbiter;
 pub mod config;
 pub mod endpoint;
 pub mod host_service;

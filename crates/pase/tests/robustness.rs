@@ -1,10 +1,13 @@
 //! Robustness and white-box tests for the PASE endpoint:
 //! Algorithm 2's window state, the reorder guard observed on the wire,
 //! tolerance to control-plane packet loss, and recovery from injected
-//! arbitrator crashes (watchdog fallback + re-attach).
+//! arbitrator crashes (watchdog fallback + re-attach), the unprotected
+//! (tail-drop) control inbox, and the arbitrators' restart lifecycle.
 
 use std::sync::Arc;
 
+use netsim::event::EventKind;
+use netsim::host::MAINTENANCE_TIMER_BASE;
 use netsim::node::Node;
 use netsim::packet::PacketKind;
 use netsim::prelude::*;
@@ -722,4 +725,149 @@ fn total_arbitration_blackout_still_completes() {
         st.ctrl_pkts_dropped,
         st.ctrl_pkts
     );
+}
+
+/// Trace sink recording every `Shed` event as `(node, stale)`.
+struct ShedLog(Arc<std::sync::Mutex<Vec<(NodeId, bool)>>>);
+
+impl TraceSink for ShedLog {
+    fn on_event(&mut self, _now: SimTime, event: &TraceEvent) {
+        if let TraceEvent::Shed { node, stale, .. } = *event {
+            self.0.lock().unwrap().push((node, stale));
+        }
+    }
+}
+
+#[test]
+fn unprotected_inbox_tail_drops_under_a_storm_and_flows_still_complete() {
+    // The shedding ablation: with the priority-aware policy off, a
+    // stormed arbitrator's bounded inbox silently tail-drops whatever
+    // overflows it — requests, responses and releases alike — on both
+    // node kinds. Every drop must still be counted (control
+    // conservation) and traced, and the senders' watchdogs must carry
+    // every flow to completion once the storm ends.
+    let cfg = PaseConfig {
+        ctrl_budget_per_epoch: 4,
+        ..cfg()
+    }
+    .without_shedding();
+    let (mut sim, hosts) = three_tier_sim(2, cfg);
+    sim.enable_invariants(InvariantConfig::default());
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    sim.set_tracer(Box::new(ShedLog(Arc::clone(&log))));
+    // Cross-rack flows out of rack 0 (through its ToR's uplink arbitrator)
+    // into hosts[7] (whose downlink arbitrator serves their receiver legs).
+    let tor = sim.topo().host_tor(hosts[0]);
+    let sink = hosts[7];
+    for i in 0..4u64 {
+        sim.add_flow(FlowSpec::new(
+            FlowId(i),
+            hosts[(i % 2) as usize],
+            sink,
+            400_000,
+            SimTime::from_micros(i * 50),
+        ));
+    }
+    let plan = FaultPlan::new()
+        .ctrl_storm_start(SimTime::from_micros(300), tor, 64)
+        .ctrl_storm_start(SimTime::from_micros(300), sink, 64)
+        .ctrl_storm_end(SimTime::from_millis(3), tor)
+        .ctrl_storm_end(SimTime::from_millis(3), sink);
+    sim.inject_faults(&plan);
+    let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
+    assert_eq!(
+        outcome,
+        RunOutcome::MeasuredComplete,
+        "a tail-dropping control plane must not strand a flow"
+    );
+    let st = sim.stats();
+    assert!(st.ctrl_msgs_shed > 0, "the storm must overflow the inbox");
+    assert!(st.node(tor).ctrl_shed > 0, "the stormed ToR tail-drops");
+    assert!(st.node(sink).ctrl_shed > 0, "the stormed host tail-drops");
+    let log = log.lock().unwrap();
+    for node in [tor, sink] {
+        assert!(
+            log.iter().any(|&(n, _)| n == node),
+            "tail drops on {node} must be traced"
+        );
+    }
+    assert!(
+        log.iter().all(|&(_, stale)| !stale),
+        "an unprotected inbox never sheds by staleness"
+    );
+    sim.check_invariants().assert_clean();
+}
+
+/// Pending lease-GC ticks (`MAINTENANCE_TIMER_BASE + epoch` tokens) on
+/// `node`.
+fn lease_ticks(sim: &Simulation, node: NodeId) -> Vec<u64> {
+    sim.scheduler()
+        .pending_events()
+        .filter_map(|(_, target, kind)| match *kind {
+            EventKind::PluginTimer(t) if target == node && t >= MAINTENANCE_TIMER_BASE => Some(t),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Every pending plugin/service timer token on `node`, sorted.
+fn timers(sim: &Simulation, node: NodeId) -> Vec<u64> {
+    let mut tokens: Vec<u64> = sim
+        .scheduler()
+        .pending_events()
+        .filter_map(|(_, target, kind)| match *kind {
+            EventKind::PluginTimer(t) if target == node => Some(t),
+            _ => None,
+        })
+        .collect();
+    tokens.sort_unstable();
+    tokens
+}
+
+#[test]
+fn restart_without_a_crash_arms_no_timer() {
+    // A restart directive reaching a control process that never crashed
+    // is a no-op: it must not start a second lease-GC (or delegation)
+    // loop next to the one `install` armed.
+    let (mut sim, hosts) = three_tier_sim(2, cfg());
+    let tor = sim.topo().host_tor(hosts[0]);
+    let before = (timers(&sim, tor), timers(&sim, hosts[0]));
+    let plan = FaultPlan::new()
+        .arbitrator_restart(SimTime::from_micros(10), tor)
+        .arbitrator_restart(SimTime::from_micros(10), hosts[0]);
+    sim.inject_faults(&plan);
+    sim.run(RunLimit {
+        max_time: Some(SimTime::from_micros(20)),
+        max_events: None,
+        stop_when_measured_done: false,
+    });
+    assert_eq!(
+        (timers(&sim, tor), timers(&sim, hosts[0])),
+        before,
+        "a restart of a live process must arm nothing"
+    );
+}
+
+#[test]
+fn pre_crash_lease_tick_is_inert_after_restart() {
+    // Crash and restart both node kinds before the install-time lease-GC
+    // tick (epoch 0) fires. The restart arms a fresh tick under epoch 1;
+    // when the stale epoch-0 tick fires it must neither GC nor re-arm, so
+    // exactly one GC loop survives — a live stale tick would double it.
+    let cfg = cfg();
+    let (mut sim, hosts) = three_tier_sim(2, cfg);
+    let tor = sim.topo().host_tor(hosts[0]);
+    let plan = [tor, hosts[0]].iter().fold(FaultPlan::new(), |plan, &n| {
+        plan.arbitrator_crash(SimTime::from_micros(100), n)
+            .arbitrator_restart(SimTime::from_micros(200), n)
+    });
+    sim.inject_faults(&plan);
+    sim.run(until(4));
+    for node in [tor, hosts[0]] {
+        assert_eq!(
+            lease_ticks(&sim, node),
+            vec![MAINTENANCE_TIMER_BASE + 1],
+            "one lease-GC loop, under the post-restart epoch, on {node}"
+        );
+    }
 }

@@ -21,10 +21,7 @@ pub mod topologies;
 
 pub use exec::{default_jobs, run_cases, CasePlan};
 pub use flowgen::{DeadlineDist, PoissonArrivals, SizeDist};
-pub use metrics::{
-    collect, collect_with, fct_cdf, percentile, MetricsMode, QuantileSketch, RunMetrics,
-    SKETCH_EPSILON,
-};
+pub use metrics::{collect, fct_cdf, percentile, RunMetrics};
 pub use runner::{run_seeds, run_specs, sweep, RunSpec};
 pub use scenarios::{Pattern, Scenario};
 pub use scheme::Scheme;

@@ -48,6 +48,22 @@ if ! diff -u "$difftmp/heap.txt" "$difftmp/wheel.txt"; then
 fi
 echo "   $(wc -l < "$difftmp/heap.txt") cases byte-identical across engines"
 
+# Behaviour golden: the same per-case lines (trace hash + stats
+# fingerprint; the header line carries the job count and is left out)
+# must match the committed baseline byte for byte, so a refactor that
+# claims "no behaviour change" is held to it. Reuses the wheel run above
+# at no extra cost. A change that moves behaviour on purpose re-baselines
+# the file with
+#   ./target/release/chaos --seeds 8 --faults all --quick --verbose 2>&1 \
+#       | grep '^chaos ' | grep -v '^chaos sweep:' > results/chaos_quick_8seeds.txt
+# and explains the diff in CHANGES.md.
+echo "== behaviour golden (8 seeds, quick, vs results/chaos_quick_8seeds.txt) =="
+if ! grep -v '^chaos sweep:' "$difftmp/wheel.txt" | diff -u results/chaos_quick_8seeds.txt -; then
+    echo "FAIL: chaos per-case hashes moved from the committed golden (diff above)" >&2
+    exit 1
+fi
+echo "   $(wc -l < results/chaos_quick_8seeds.txt) cases match the golden"
+
 # Bench smoke: two quick scenarios end-to-end (the env-selected engine
 # and the pinned-wheel stress profile); asserts the harness still runs
 # and emits a consistent report (throughput numbers are NOT checked here
