@@ -1,8 +1,12 @@
-//! Run every experiment and write `EXPERIMENTS.md` plus per-figure JSON.
+//! Run every experiment, print its tables and write per-figure JSON; at
+//! full scale also write `EXPERIMENTS.md` into the current directory.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin run_all -- [--quick] [--out results] [--jobs N]
 //! ```
+//!
+//! `--quick` only prints: its reduced-scale tables would overwrite the
+//! full-scale report and its hand-written sections.
 //!
 //! `--jobs` (default: detected cores; `NETSIM_JOBS` overrides the
 //! default) parallelizes case execution across every figure sweep;
@@ -131,9 +135,14 @@ fn main() {
         opts.jobs,
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    std::fs::write("EXPERIMENTS.md", md).expect("write EXPERIMENTS.md");
+    let verdict = if opts.quick {
+        "quick mode: EXPERIMENTS.md left untouched"
+    } else {
+        std::fs::write("EXPERIMENTS.md", md).expect("write EXPERIMENTS.md");
+        "wrote EXPERIMENTS.md"
+    };
     eprintln!(
-        "wrote EXPERIMENTS.md ({} figures) in {:.1}s",
+        "{verdict} ({} figures) in {:.1}s",
         figs.len(),
         started.elapsed().as_secs_f64()
     );

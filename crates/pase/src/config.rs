@@ -85,13 +85,16 @@ pub struct PaseConfig {
     /// packet per RTT (paper §3.1.1).
     pub base_rate_pkts_per_rtt: u32,
     /// Control-plane watchdog: a sender that has gone `watchdog_k`
-    /// refresh periods without any arbitration response assumes the
-    /// arbitrators are unreachable and falls back to pure self-adjusting
-    /// mode (lowest queue, DCTCP control laws) until responses resume.
+    /// refresh periods without a clean arbitration answer, or has run up
+    /// `watchdog_k` net bad (silent or load-shed) refresh rounds, falls
+    /// back to pure self-adjusting mode (lowest queue, DCTCP control
+    /// laws) until answers resume.
     pub watchdog_k: u32,
-    /// Cap on the exponent of the refresh backoff: while responses are
-    /// missing, re-requests are spaced `arb_refresh × 2^min(misses, cap)`
-    /// apart so a dead control plane is not hammered every RTT.
+    /// Cap on the exponent of the refresh backoff. The backoff applies
+    /// only in fallback or under load shedding: there, re-requests are
+    /// spaced `arb_refresh × 2^min(bad rounds in a row, cap)` apart so a
+    /// dead or overloaded control plane is not hammered every RTT. Other
+    /// flows keep the exact `arb_refresh` cadence.
     pub refresh_backoff_cap: u32,
     /// Per-epoch control-message budget of every arbitrator (endpoint
     /// host-service legs and switch plugins alike). An epoch is one

@@ -17,12 +17,14 @@
 //!   1-packet-per-RTT trickle with probes entirely (§4.3.2).
 //! * **Reordering guard**: on a queue promotion the sender drains
 //!   in-flight lower-priority packets before sending at the new priority.
-//! * **Graceful degradation**: a watchdog counts refresh rounds with no
-//!   arbitration response; after `watchdog_k` silent periods the flow
+//! * **Graceful degradation**: one [`ChannelHealth`] state machine judges
+//!   every refresh round answered, shed or silent. After `watchdog_k`
+//!   silent refresh periods, or `watchdog_k` net bad rounds, the flow
 //!   falls back to pure self-adjusting mode (lowest queue, DCTCP laws,
 //!   data never suppressed) with bounded exponential backoff on
-//!   re-requests, and re-attaches to its arbitrated `PrioQue`/`Rref`
-//!   assignment as soon as a response arrives.
+//!   re-requests. It re-attaches to its arbitrated `PrioQue`/`Rref`
+//!   assignment on the first clean answer that drains the bad-round debt
+//!   below `watchdog_k`.
 
 use netsim::flow::FlowSpec;
 use netsim::host::{AgentCtx, FlowAgent, WAKEUP_TOKEN};
@@ -77,43 +79,8 @@ pub struct PaseSender {
     pace_epoch: u64,
     refresh_epoch: u64,
     started: bool,
-    // Control-plane watchdog (graceful degradation, paper §3.1.3: "in
-    // case a flow does not hear back from an arbitrator, it falls back to
-    // the self-adjusting behavior").
-    /// When the last arbitration response (either leg) arrived.
-    last_response: SimTime,
-    /// Consecutive refresh rounds without any arbitration response;
-    /// drives the bounded exponential re-request backoff.
-    refresh_misses: u32,
-    /// Decaying tally of missed refresh rounds: +1 per round with no
-    /// response, −1 (floor 0) per round with one. Catches a *degraded*
-    /// control channel — one that still answers occasionally, so every
-    /// response resets `last_response` and defeats the hard-silence
-    /// watchdog — by integrating misses faster than sporadic responses
-    /// drain them.
-    degraded_rounds: u32,
-    /// The delay the last-armed refresh timer was set with (cadence ×
-    /// backoff). A round counts as missed only if no response landed
-    /// within this interval plus one base RTT of in-flight grace —
-    /// measuring against the bare cadence would brand every backed-off
-    /// round, and every topology whose reply latency straddles
-    /// `arb_refresh`, as degraded.
-    refresh_interval: SimDuration,
-    /// Arbitration declared unreachable: the flow runs in pure
-    /// self-adjusting mode (lowest queue, DCTCP laws) until a response
-    /// resumes.
-    in_fallback: bool,
-    /// Capped backoff exponent driven by load-shed replies: each shed
-    /// response doubles the refresh spacing (up to `refresh_backoff_cap`),
-    /// each clean response halves it back, so a storm of senders drains
-    /// its own pressure multiplicatively.
-    shed_backoff: u32,
-    /// Decaying tally of shed responses: +1 per shed reply, −1 (floor 0)
-    /// per clean one. Sustained shedding — `watchdog_k` net shed rounds —
-    /// degrades the flow to self-adjusting fallback exactly like a dead
-    /// or gray control channel: an arbitrator that only ever sheds us is
-    /// not arbitrating for us.
-    shed_rounds: u32,
+    /// Control-channel health: the graceful-degradation state machine.
+    health: ChannelHealth,
     /// Inter-rack flows hold their first data until the sender-leg
     /// arbitration response arrives (paper §3.1.2: "a flow starts as soon
     /// as it receives arbitration information from the child arbitrator").
@@ -153,13 +120,7 @@ impl PaseSender {
             pace_epoch: 0,
             refresh_epoch: 0,
             started: false,
-            last_response: SimTime::ZERO,
-            refresh_misses: 0,
-            degraded_rounds: 0,
-            refresh_interval: cfg.arb_refresh,
-            in_fallback: false,
-            shed_backoff: 0,
-            shed_rounds: 0,
+            health: ChannelHealth::default(),
             awaiting_initial_arb: false,
             done: false,
         }
@@ -180,26 +141,9 @@ impl PaseSender {
         self.engine.cwnd
     }
 
-    /// Whether the watchdog has the flow in self-adjusting fallback
-    /// (tests/inspection).
-    pub fn in_fallback(&self) -> bool {
-        self.in_fallback
-    }
-
-    /// Net missed refresh rounds on the control channel
-    /// (tests/inspection).
-    pub fn degraded_rounds(&self) -> u32 {
-        self.degraded_rounds
-    }
-
-    /// Current shed-driven refresh-backoff exponent (tests/inspection).
-    pub fn shed_backoff(&self) -> u32 {
-        self.shed_backoff
-    }
-
-    /// Net shed responses on the control channel (tests/inspection).
-    pub fn shed_rounds(&self) -> u32 {
-        self.shed_rounds
+    /// Snapshot of the control-channel health (tests/inspection).
+    pub fn health(&self) -> ChannelHealth {
+        self.health
     }
 
     fn srtt(&self) -> SimDuration {
@@ -231,7 +175,7 @@ impl PaseSender {
     /// Never in fallback: with no arbitrator to promote us out of the
     /// bottom queue, probing instead of sending would stall forever.
     fn data_suppressed(&self) -> bool {
-        !self.in_fallback
+        !self.health.in_fallback
             && self.cfg.probe_bottom_queue
             && self.in_bottom_queue()
             && !self.spec.is_background()
@@ -331,11 +275,11 @@ impl PaseSender {
     /// Merge the local and leg decisions into the effective queue/rate and
     /// apply Algorithm 2's state transitions.
     fn recompute_effective(&mut self, ctx: &mut AgentCtx<'_, '_>) {
-        if self.in_fallback {
+        if self.health.in_fallback {
             // Fallback pins the flow to the lowest queue at base rate; the
             // merge below would resurrect the (possibly stale, possibly
-            // uncoordinated) local decision. Exit happens in the WAKEUP
-            // path, before this is called again.
+            // uncoordinated) local decision. Exit happens when an answered
+            // round closes, before this is called again.
             self.queue = self.cfg.lowest_queue();
             self.rref = self.cfg.base_rate();
             self.sync_tx_prio();
@@ -437,7 +381,7 @@ impl PaseSender {
         if self.engine.in_recovery() {
             return;
         }
-        if self.in_fallback || !self.cfg.use_reference_rate {
+        if self.health.in_fallback || !self.cfg.use_reference_rate {
             // Plain DCTCP growth (the marked-ACK decrease above still
             // applies), with the same delayed-ACK pacing real DCTCP stacks
             // exhibit (half a packet of growth per acked packet). Both the
@@ -580,52 +524,8 @@ impl PaseSender {
 
     fn arm_refresh(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         self.refresh_epoch += 1;
-        // Bounded exponential backoff on re-requests, but only once the
-        // watchdog has declared the control plane dead — or once the
-        // arbitrators start load-shedding us: each further silent or shed
-        // round doubles the spacing (capped) so a crashed or overloaded
-        // arbitrator is not hammered every RTT. Healthy flows keep the
-        // exact `arb_refresh` cadence — response latency routinely spans
-        // a whole refresh period, and stretching the cadence on such
-        // ordinary lag skews arbitration for every flow.
-        let exp = {
-            let silent = if self.in_fallback {
-                self.refresh_misses
-            } else {
-                0
-            };
-            silent
-                .max(self.shed_backoff)
-                .min(self.cfg.refresh_backoff_cap)
-        };
-        let delay = self.cfg.arb_refresh.saturating_mul(1u64 << exp);
-        self.refresh_interval = delay;
+        let delay = self.health.round_len(&self.cfg);
         ctx.set_timer(delay, REFRESH_TOKEN_BASE + self.refresh_epoch);
-    }
-
-    /// Has the watchdog expired: `watchdog_k` refresh periods without any
-    /// arbitration response, on a flow that expects responses?
-    fn watchdog_expired(&self, now: SimTime) -> bool {
-        let expects_responses =
-            self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
-        expects_responses
-            && now
-                >= self.last_response
-                    + self
-                        .cfg
-                        .arb_refresh
-                        .saturating_mul(self.cfg.watchdog_k as u64)
-    }
-
-    /// Has the control channel *degraded* — `watchdog_k` net-missed
-    /// refresh rounds on a flow that expects responses? Complements
-    /// [`Self::watchdog_expired`]: a gray channel that answers one round
-    /// in several keeps resetting `last_response` (so the silence test
-    /// never fires) yet accumulates net misses here.
-    fn channel_degraded(&self) -> bool {
-        let expects_responses =
-            self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some();
-        expects_responses && self.degraded_rounds >= self.cfg.watchdog_k
     }
 
     /// Degrade to pure self-adjusting mode: lowest queue, base rate,
@@ -639,7 +539,6 @@ impl PaseSender {
     /// window is congestion-valid — so only the priority/rate state is
     /// demoted.
     fn enter_fallback(&mut self, reset_window: bool) {
-        self.in_fallback = true;
         if reset_window {
             self.ssthresh = (self.engine.cwnd / 2.0).max(2.0);
             self.engine.cwnd = 1.0;
@@ -656,8 +555,8 @@ impl PaseSender {
 impl FlowAgent for PaseSender {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_, '_>) {
         self.started = true;
-        // The watchdog measures silence from flow start.
-        self.last_response = ctx.now();
+        // Silence is measured from flow start.
+        self.health.last_reply = ctx.now();
         let sender_leg_sent = self.arbitrate(ctx);
         // Inter-rack: optionally wait for the child (ToR) arbitrator's
         // answer before injecting data; intra-rack, pruned and local-only
@@ -735,51 +634,23 @@ impl FlowAgent for PaseSender {
             return;
         }
         if token == WAKEUP_TOKEN {
-            // An arbitration response arrived.
-            self.last_response = ctx.now();
-            self.refresh_misses = 0;
-            // Consume the piggybacked load-shed signal. A shed reply is a
-            // real response — the silence watchdog stays quiet — but not
-            // an answer: back the refresh cadence off multiplicatively
-            // (every shedding sender does, so the storm drains itself) and
-            // after `watchdog_k` net shed rounds degrade to self-adjusting
-            // fallback: an arbitrator that only ever sheds us is not
-            // arbitrating for us.
+            // An arbitration reply arrived. It is a clean answer unless a
+            // load-shed reply (it or an earlier one) has landed this round.
+            let now = ctx.now();
+            self.health.last_reply = now;
             let shed = ctx
                 .service::<PaseHostService>()
-                .map(|svc| svc.take_shed(self.spec.id))
-                .unwrap_or(false);
-            if shed {
-                self.shed_backoff = (self.shed_backoff + 1).min(self.cfg.refresh_backoff_cap);
-                // Capped so a long storm drains in a bounded number of
-                // clean rounds once it ends.
-                self.shed_rounds =
-                    (self.shed_rounds + 1).min(self.cfg.watchdog_k.saturating_mul(2));
-                if !self.in_fallback && self.shed_rounds >= self.cfg.watchdog_k {
-                    self.enter_fallback(false);
-                }
-            } else {
-                self.shed_backoff = self.shed_backoff.saturating_sub(1);
-                // Asymmetric decay: shed rounds accumulate one at a time
-                // (cautious entry) but drain two per clean reply, so a
-                // flow parked in the lowest queue re-attaches soon after
-                // the storm breaks instead of serving out the full
-                // integrator.
-                self.shed_rounds = self.shed_rounds.saturating_sub(2);
-                if self.in_fallback && self.shed_rounds == 0 {
-                    // The control plane is back *for good* — the shed
-                    // integrator has fully drained, not just one lucky
-                    // reply slipping through mid-storm (entering fallback
-                    // resets cwnd, so exit/re-enter flapping is far worse
-                    // than staying self-adjusting). Leave fallback and let
-                    // the recompute below re-attach the flow to its
-                    // arbitrated queue and reference rate (Algorithm 2
-                    // transitions fire on the queue change). Re-arm
-                    // promptly — the pending refresh may still be backed
-                    // off far into the future.
-                    self.in_fallback = false;
-                    self.arm_refresh(ctx);
-                }
+                .is_some_and(|svc| svc.leg_results(self.spec.id).shed);
+            if !shed && self.health.in_fallback {
+                // In fallback a clean answer closes the round at once and
+                // starts the next one promptly: the pending refresh may be
+                // backed off far into the future. An answered round never
+                // enters fallback, and leaving it needs no action here:
+                // the recompute below re-attaches the flow to its
+                // arbitrated queue and reference rate (Algorithm 2
+                // transitions fire on the queue change).
+                self.health.observe(Outcome::Answered, now, &self.cfg);
+                self.arm_refresh(ctx);
             }
             self.recompute_effective(ctx);
             if self.awaiting_initial_arb {
@@ -810,25 +681,18 @@ impl FlowAgent for PaseSender {
                 // Fallback: never wait longer than one refresh period for
                 // the initial arbitration response.
                 self.awaiting_initial_arb = false;
-                let now = ctx.now();
-                // Watchdog bookkeeping: count silent rounds (a response
-                // resets the counter via the WAKEUP path) and degrade to
-                // self-adjusting mode after `watchdog_k` refresh periods
-                // of silence — or after `watchdog_k` *net* misses on a
-                // channel that is degraded rather than dead. "Missed"
-                // is judged against the interval this round was actually
-                // armed with (backoff included) plus one base RTT, so a
-                // reply still in flight does not count against the
-                // channel.
-                if now >= self.last_response + self.refresh_interval + self.cfg.base_rtt {
-                    self.refresh_misses = self.refresh_misses.saturating_add(1);
-                    self.degraded_rounds = self.degraded_rounds.saturating_add(1);
-                } else {
-                    self.refresh_misses = 0;
-                    self.degraded_rounds = self.degraded_rounds.saturating_sub(1);
-                }
-                if !self.in_fallback && (self.watchdog_expired(now) || self.channel_degraded()) {
-                    self.enter_fallback(true);
+                // Judge the round that just ended, on a flow that expects
+                // replies at all.
+                if self.plan.sender_leg_to.is_some() || self.plan.receiver_leg_to.is_some() {
+                    let now = ctx.now();
+                    let shed = ctx
+                        .service::<PaseHostService>()
+                        .is_some_and(|svc| svc.take_shed(self.spec.id));
+                    let outcome = self.health.judge(now, shed, &self.cfg);
+                    let transition = self.health.observe(outcome, now, &self.cfg);
+                    if let Transition::Enter { reset_window } = transition {
+                        self.enter_fallback(reset_window);
+                    }
                 }
                 let _ = self.arbitrate(ctx);
                 self.pump(ctx);
@@ -876,5 +740,255 @@ impl FlowAgent for PaseSender {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
+    }
+}
+
+/// What one refresh round heard back from the arbitrators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// Clean arbitration answers landed, and no load-shed reply.
+    Answered,
+    /// A load-shed reply landed: an arbitrator on the path is alive but
+    /// is not arbitrating for us, and asks us to back off.
+    Shed,
+    /// Nothing landed.
+    Silent,
+}
+
+/// The fallback transition a round's outcome calls for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Transition {
+    None,
+    /// Enter self-adjusting fallback, restarting the window after a
+    /// silent round (see [`PaseSender::enter_fallback`]).
+    Enter {
+        reset_window: bool,
+    },
+    Exit,
+}
+
+/// Health of a flow's control channel: paper §3.1.3's graceful
+/// degradation ("in case a flow does not hear back from an arbitrator, it
+/// falls back to the self-adjusting behavior") as one state machine fed
+/// one outcome (answered, shed or silent) per refresh round.
+///
+/// A bad (silent or shed) round enters fallback once the channel has
+/// been silent for `watchdog_k` refresh periods — a dead channel — or
+/// `debt` reaches `watchdog_k` — a gray or shedding one that still
+/// answers now and then. An answered round never enters; it leaves
+/// fallback once the drained debt is below `watchdog_k`. The debt is
+/// capped at `2·watchdog_k`, so however long an outage lasted, a
+/// recovered channel leaves fallback once, within `watchdog_k + 1`
+/// answered rounds, and does not flap back in.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelHealth {
+    /// When the last reply of any kind landed (the silence clock).
+    pub last_reply: SimTime,
+    /// The current refresh round lasts `arb_refresh × 2^round_exp`.
+    pub round_exp: u32,
+    /// Net bad rounds: +1 per silent or shed round, −1 per answered one,
+    /// capped at `2·watchdog_k`.
+    pub debt: u32,
+    /// Consecutive bad rounds, capped at `refresh_backoff_cap`: the
+    /// exponent of the refresh backoff.
+    pub backoff: u32,
+    /// The flow runs in pure self-adjusting mode (lowest queue, DCTCP
+    /// laws, data never suppressed).
+    pub in_fallback: bool,
+}
+
+impl ChannelHealth {
+    fn round_len(&self, cfg: &PaseConfig) -> SimDuration {
+        cfg.arb_refresh.saturating_mul(1u64 << self.round_exp)
+    }
+
+    /// Judge the round ending at `now` (`shed`: a load-shed reply landed
+    /// in it). A reply counts if it landed within the round or one base
+    /// RTT before it began — a reply still in flight does not count
+    /// against the channel.
+    fn judge(&self, now: SimTime, shed: bool, cfg: &PaseConfig) -> Outcome {
+        if shed {
+            Outcome::Shed
+        } else if now < self.last_reply + self.round_len(cfg) + cfg.base_rtt {
+            Outcome::Answered
+        } else {
+            Outcome::Silent
+        }
+    }
+
+    /// Feed one round's outcome, size the next round, and return the
+    /// transition the outcome calls for.
+    fn observe(&mut self, outcome: Outcome, now: SimTime, cfg: &PaseConfig) -> Transition {
+        let k = cfg.watchdog_k;
+        let was_in_fallback = self.in_fallback;
+        if outcome == Outcome::Answered {
+            self.debt = self.debt.saturating_sub(1);
+            self.backoff = 0;
+            self.in_fallback &= self.debt >= k;
+        } else {
+            self.debt = (self.debt + 1).min(k.saturating_mul(2));
+            self.backoff = (self.backoff + 1).min(cfg.refresh_backoff_cap);
+            let silent_too_long = now >= self.last_reply + cfg.arb_refresh.saturating_mul(k as u64);
+            self.in_fallback |= silent_too_long || self.debt >= k;
+        }
+        // Back off only in fallback or under shedding: response latency
+        // routinely spans a refresh period, and stretching a healthy
+        // flow's cadence on such lag skews arbitration for every flow.
+        let stretch = self.in_fallback || outcome == Outcome::Shed;
+        self.round_exp = if stretch { self.backoff } else { 0 };
+        match (was_in_fallback, self.in_fallback) {
+            (false, true) => Transition::Enter {
+                reset_window: outcome == Outcome::Silent,
+            },
+            (true, false) => Transition::Exit,
+            _ => Transition::None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Close one round per outcome, each as long as the health makes it;
+    /// an answered or shed round's reply lands at its end. Returns the
+    /// transitions.
+    fn feed(h: &mut ChannelHealth, now: &mut SimTime, rounds: &[Outcome]) -> Vec<Transition> {
+        let cfg = PaseConfig::default();
+        rounds
+            .iter()
+            .map(|&outcome| {
+                *now += h.round_len(&cfg);
+                if outcome != Outcome::Silent {
+                    h.last_reply = *now;
+                }
+                h.observe(outcome, *now, &cfg)
+            })
+            .collect()
+    }
+
+    fn k() -> usize {
+        PaseConfig::default().watchdog_k as usize
+    }
+
+    fn entered(ts: &[Transition]) -> Vec<usize> {
+        ts.iter()
+            .enumerate()
+            .filter(|(_, t)| matches!(t, Transition::Enter { .. }))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    #[test]
+    fn k_silent_rounds_enter_fallback_with_a_window_reset() {
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        let ts = feed(&mut h, &mut now, &vec![Outcome::Silent; k()]);
+        assert!(ts[..k() - 1].iter().all(|t| *t == Transition::None));
+        assert_eq!(ts[k() - 1], Transition::Enter { reset_window: true });
+        assert!(h.in_fallback);
+    }
+
+    #[test]
+    fn k_shed_rounds_enter_fallback_keeping_the_window() {
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        let ts = feed(&mut h, &mut now, &vec![Outcome::Shed; k()]);
+        assert!(ts[..k() - 1].iter().all(|t| *t == Transition::None));
+        assert_eq!(
+            ts[k() - 1],
+            Transition::Enter {
+                reset_window: false
+            }
+        );
+    }
+
+    #[test]
+    fn a_gray_channel_that_answers_now_and_then_still_enters() {
+        // Two silent rounds per answered one: every answer restarts the
+        // silence clock, but the debt still climbs by one per cycle.
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        let cycle = [Outcome::Silent, Outcome::Silent, Outcome::Answered];
+        // After k−2 whole cycles the debt is k−2; two more silent rounds
+        // bring it to k.
+        let entry = 3 * (k() - 2) + 1;
+        let rounds: Vec<Outcome> = cycle.iter().copied().cycle().take(entry + 1).collect();
+        let ts = feed(&mut h, &mut now, &rounds);
+        assert_eq!(entered(&ts), vec![entry]);
+        assert_eq!(ts[entry], Transition::Enter { reset_window: true });
+    }
+
+    #[test]
+    fn silence_stretches_the_refresh_round_only_in_fallback() {
+        let cfg = PaseConfig::default();
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        feed(&mut h, &mut now, &vec![Outcome::Silent; k() - 1]);
+        assert_eq!(
+            h.round_len(&cfg),
+            cfg.arb_refresh,
+            "healthy cadence until fallback"
+        );
+        feed(&mut h, &mut now, &[Outcome::Silent]);
+        assert_eq!(h.round_len(&cfg), cfg.arb_refresh.saturating_mul(1 << k()));
+    }
+
+    #[test]
+    fn shedding_stretches_the_refresh_round_at_once() {
+        let cfg = PaseConfig::default();
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        feed(&mut h, &mut now, &[Outcome::Shed, Outcome::Shed]);
+        assert!(!h.in_fallback);
+        assert_eq!(h.round_len(&cfg), cfg.arb_refresh.saturating_mul(4));
+        feed(&mut h, &mut now, &[Outcome::Answered]);
+        assert_eq!(
+            h.round_len(&cfg),
+            cfg.arb_refresh,
+            "an answer restores the cadence"
+        );
+    }
+
+    #[test]
+    fn the_integrator_and_the_backoff_are_capped() {
+        let cfg = PaseConfig::default();
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        let ts = feed(&mut h, &mut now, &[Outcome::Silent; 100]);
+        assert_eq!(
+            entered(&ts),
+            vec![k() - 1],
+            "one entry, however long the outage"
+        );
+        assert_eq!(h.debt, 2 * cfg.watchdog_k);
+        assert_eq!(h.backoff, cfg.refresh_backoff_cap);
+    }
+
+    #[test]
+    fn a_fresh_outage_ends_on_the_first_clean_answer() {
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        feed(&mut h, &mut now, &vec![Outcome::Silent; k()]);
+        assert_eq!(
+            feed(&mut h, &mut now, &[Outcome::Answered]),
+            vec![Transition::Exit]
+        );
+        assert_eq!(h.backoff, 0);
+    }
+
+    #[test]
+    fn a_long_outage_drains_in_bounded_rounds_and_does_not_re_enter() {
+        let mut h = ChannelHealth::default();
+        let mut now = SimTime::ZERO;
+        feed(&mut h, &mut now, &[Outcome::Silent; 100]);
+        let ts = feed(&mut h, &mut now, &vec![Outcome::Answered; 2 * k()]);
+        let exits: Vec<usize> = (0..ts.len())
+            .filter(|&i| ts[i] == Transition::Exit)
+            .collect();
+        assert_eq!(exits, vec![k()], "exit once, when the debt drops below k");
+        assert!(entered(&ts).is_empty(), "an answered round never re-enters");
+        assert_eq!(h.debt, 0, "fully drained within 2k clean rounds");
+        assert!(!h.in_fallback);
     }
 }

@@ -138,7 +138,7 @@ impl PaseHostService {
     }
 
     /// Read and clear the load-shed signal for `flow`. The local sender
-    /// consumes it once per wake-up to drive its refresh backoff.
+    /// consumes it once per refresh round to judge the round.
     pub fn take_shed(&mut self, flow: FlowId) -> bool {
         match self.legs.get_mut(&flow) {
             Some(slot) => core::mem::take(&mut slot.shed),

@@ -286,7 +286,7 @@ fn sender_state(sim: &mut Simulation, host: NodeId, flow: u64) -> (bool, u8, Rat
     let s = h
         .agent_as::<PaseSender>(FlowId(flow))
         .expect("sender still live");
-    (s.in_fallback(), s.queue(), s.rref())
+    (s.health().in_fallback, s.queue(), s.rref())
 }
 
 #[test]
@@ -393,6 +393,56 @@ fn arbitrator_restart_re_attaches_endpoints() {
 
     let outcome = sim.run(RunLimit::until_measured_done(SimTime::from_secs(30)));
     assert_eq!(outcome, RunOutcome::MeasuredComplete);
+}
+
+#[test]
+fn a_long_outage_ends_in_one_fallback_exit_without_flapping() {
+    // Every switch arbitrator is down from 1 ms to 41 ms, so the solo
+    // sender falls back and piles up 40 ms of bad rounds. Once answers
+    // resume it must leave fallback exactly once and stay out: every
+    // re-entry would restart its window from cwnd = 1.
+    let cfg = cfg();
+    let (mut sim, hosts) = three_tier_sim(2, cfg);
+    sim.add_flow(FlowSpec::new(
+        FlowId(0),
+        hosts[0],
+        hosts[7],
+        40_000_000,
+        SimTime::ZERO,
+    ));
+    let crash = all_switches(&sim, SimTime::from_millis(1), false);
+    let restart = all_switches(&sim, SimTime::from_millis(41), true);
+    sim.inject_faults(&crash);
+    sim.inject_faults(&restart);
+    sim.run(until(41));
+    assert!(
+        sender_state(&mut sim, hosts[0], 0).0,
+        "the outage must trip fallback"
+    );
+
+    // Poll ten times per refresh period until well after the recovery.
+    let (mut exits, mut entries, mut in_fallback) = (0, 0, true);
+    let mut t = SimTime::from_millis(41);
+    while t < SimTime::from_millis(80) {
+        t += SimDuration::from_micros(10);
+        sim.run(RunLimit {
+            max_time: Some(t),
+            max_events: None,
+            stop_when_measured_done: false,
+        });
+        let (fb, _, _) = sender_state(&mut sim, hosts[0], 0);
+        match (in_fallback, fb) {
+            (true, false) => exits += 1,
+            (false, true) => entries += 1,
+            _ => {}
+        }
+        in_fallback = fb;
+    }
+    assert_eq!(
+        (exits, entries),
+        (1, 0),
+        "the recovered channel must end fallback once and never re-enter it"
+    );
 }
 
 #[test]
@@ -566,9 +616,9 @@ fn crashed_host_lease_expiry_frees_the_top_queue() {
 fn degraded_control_channel_trips_the_watchdog_and_flows_complete() {
     // Gray failures on both access links: the sender's drops most
     // packets in each direction, but arbitration responses still trickle
-    // through — and each one resets `last_response`, defeating the
-    // hard-silence watchdog, so only the decaying net-miss counter can
-    // drive the flow into bounded self-adjusting fallback. The
+    // through — and each one restarts the silence clock, so only the
+    // bad-round debt can drive the flow into bounded self-adjusting
+    // fallback. The
     // receiver's link corrupts (but never drops) payloads, so the
     // receiver-side checksum discard and RTO/probe recovery get
     // exercised at full transmission rate once the lossy link heals.
@@ -621,15 +671,15 @@ fn degraded_control_channel_trips_the_watchdog_and_flows_complete() {
 }
 
 #[test]
-fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
+fn sustained_shedding_trips_fallback_backs_off_and_completes() {
     // A control storm amplifies the receiver-side arbitrator's inbox
     // charge far past its (deliberately tiny) budget, so every refresh of
     // the remote flow draws a `shedding: true` reply instead of an
-    // arbitration answer. The sender must stretch its refresh cadence
-    // multiplicatively, then — after `watchdog_k` net shed rounds —
+    // arbitration answer. After `watchdog_k` such rounds the sender must
     // degrade to self-adjusting fallback exactly like a dead control
-    // channel. When the storm ends, clean responses resume, fallback
-    // ends, and the flow completes.
+    // channel, and stretch its refresh cadence multiplicatively there.
+    // When the storm ends, clean responses resume, fallback ends, and
+    // the flow completes.
     let cfg = PaseConfig {
         ctrl_budget_per_epoch: 4,
         ..cfg()
@@ -662,14 +712,15 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
             panic!()
         };
         let s = h.agent_as::<PaseSender>(FlowId(0)).expect("sender live");
+        let health = s.health();
         assert!(
-            s.in_fallback(),
-            "sustained shedding must degrade the flow (shed rounds {})",
-            s.shed_rounds()
+            health.in_fallback,
+            "sustained shedding must degrade the flow (debt {})",
+            health.debt
         );
         assert!(
-            s.shed_backoff() > 0,
-            "shed replies must stretch the refresh cadence"
+            health.backoff > 0,
+            "shed rounds must stretch the refresh cadence"
         );
         assert_eq!(
             s.queue(),
@@ -678,7 +729,7 @@ fn sustained_shedding_backs_off_then_trips_fallback_and_completes() {
         );
     }
 
-    // Well after the storm: clean responses drain the shed integrator
+    // Well after the storm: clean responses drain the bad-round debt
     // (exit is hysteretic — one lucky reply mid-storm must not flap the
     // flow out of fallback and slam its cwnd), fallback ends, and the
     // flow finishes under restored arbitration. The drain is bounded by

@@ -64,6 +64,24 @@ if ! grep -v '^chaos sweep:' "$difftmp/wheel.txt" | diff -u results/chaos_quick_
 fi
 echo "   $(wc -l < results/chaos_quick_8seeds.txt) cases match the golden"
 
+# Figure golden: every paper figure and extension table at quick scale
+# (`run_all --quick` stdout, byte-identical at any job count) must match
+# the committed baseline, so a change that moves a table — fault-free or
+# faulted — shows it in its diff. Runs from the temp dir so nothing is
+# written into the repo. A change that moves a table on purpose
+# re-baselines the file with
+#   (cd "$(mktemp -d)" && "$OLDPWD/target/release/run_all" --quick) \
+#       > results/figs_quick.txt
+# and explains every moved cell in CHANGES.md.
+echo "== figure golden (run_all --quick, vs results/figs_quick.txt) =="
+root="$PWD"
+(cd "$difftmp" && "$root/target/release/run_all" --quick --jobs "${JOBS:-2}") > "$difftmp/figs_quick.txt"
+if ! diff -u results/figs_quick.txt "$difftmp/figs_quick.txt"; then
+    echo "FAIL: run_all --quick tables moved from the committed golden (diff above)" >&2
+    exit 1
+fi
+echo "   $(wc -l < results/figs_quick.txt) lines match the golden"
+
 # Bench smoke: two quick scenarios end-to-end (the env-selected engine
 # and the pinned-wheel stress profile); asserts the harness still runs
 # and emits a consistent report (throughput numbers are NOT checked here
